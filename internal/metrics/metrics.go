@@ -28,7 +28,10 @@ func Throughput(tuples int64, elapsed time.Duration) float64 {
 // State is held in atomics under the single-writer discipline: only the
 // owning joiner calls Observe, so updates are plain load/store (no CAS on
 // the hot path), while any goroutine may call Value concurrently — the
-// live statusz endpoint snapshots accumulators mid-run.
+// live statusz endpoint snapshots accumulators mid-run. Writers publish
+// joins before ratioBits and readers load ratioBits before joins, so a
+// snapshot's count covers at least every ratio in its sum; each ratio is
+// at most 1, so a snapshot never exceeds 1.
 type Effectiveness struct {
 	ratioBits atomic.Uint64 // float64 bits of the summed per-join ratios
 	joins     atomic.Int64
@@ -42,8 +45,8 @@ func (e *Effectiveness) Observe(matched, visited int64) {
 	if visited != 0 {
 		r = float64(matched) / float64(visited)
 	}
-	e.addRatio(r)
 	e.joins.Add(1)
+	e.addRatio(r)
 }
 
 func (e *Effectiveness) addRatio(r float64) {
@@ -53,19 +56,21 @@ func (e *Effectiveness) addRatio(r float64) {
 // Merge folds another accumulator in (per-joiner accumulators are merged at
 // the end of a run, or live for statusz).
 func (e *Effectiveness) Merge(o *Effectiveness) {
-	e.addRatio(math.Float64frombits(o.ratioBits.Load()))
+	ratio := math.Float64frombits(o.ratioBits.Load())
 	e.joins.Add(o.joins.Load())
+	e.addRatio(ratio)
 }
 
 // Value returns the average effectiveness in [0, 1], or 1 if no joins ran.
-// Safe to call while another goroutine is Observing; the ratio sum and
-// join count may then be one observation apart.
+// Safe to call while another goroutine is Observing; the join count may
+// then be one observation ahead of the ratio sum, never behind it.
 func (e *Effectiveness) Value() float64 {
+	ratio := math.Float64frombits(e.ratioBits.Load())
 	joins := e.joins.Load()
 	if joins == 0 {
 		return 1
 	}
-	return math.Float64frombits(e.ratioBits.Load()) / float64(joins)
+	return ratio / float64(joins)
 }
 
 // Unbalancedness is the paper's Equation (2): the dispersion of per-joiner

@@ -345,14 +345,14 @@ func newServerObs(s *Server, joiners int) *serverObs {
 			if s.wal == nil {
 				return 0
 			}
-			appended, _ := s.wal.slots()
+			appended, _ := s.wal.Slots()
 			return float64(appended)
 		})
 		reg.NewGaugeFunc("oij_repl_durable_slot", "WAL slots known durable on this node's own disk.", func() float64 {
 			if s.wal == nil {
 				return 0
 			}
-			_, durable := s.wal.slots()
+			_, durable := s.wal.Slots()
 			return float64(durable)
 		})
 		reg.NewGaugeFunc("oij_repl_replay_offset", "Replication replay offset: acked slot on a primary, applied primary slot on a standby.", func() float64 {
@@ -689,7 +689,7 @@ func (s *Server) Statusz() Status {
 		PerJoiner:        make([]JoinerStatus, joiners),
 	}
 	if s.wal != nil {
-		out.WALSync = s.wal.sync.String()
+		out.WALSync = s.wal.Mode().String()
 	}
 	if r, ok := s.eng.(interface{ Reschedules() int64 }); ok {
 		n := r.Reschedules()

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"bytes"
-	"errors"
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -23,8 +20,8 @@ import (
 // case the promoted standby's answers must be byte-equal to the refjoin
 // oracle evaluated over the standby's own replicated WAL — the applied
 // prefix is the contract, and it must be an exact prefix of what the
-// primary wrote. The WAL-level rotation tests at the bottom are the
-// regression net for segment rotation racing an in-flight catch-up ship.
+// primary wrote. The log-level sweeps of segment rotation racing an
+// in-flight catch-up ship live beside the feed in internal/wal.
 
 // replServerCfg is the shared node configuration of the chaos pairs.
 func replServerCfg(m *faultfs.Mem) Config {
@@ -189,7 +186,7 @@ func TestReplChaosPartitionZombieWrites(t *testing.T) {
 
 	// Zombie writes: the fenced ex-primary must NACK and must not grow
 	// its log — an acked write here would fork the promoted history.
-	before := p.wal.appended.Load()
+	before, _ := p.wal.Slots()
 	expectNack(t, paddr.String(), wire.NackFenced)
 	func() {
 		c, err := Dial(paddr.String())
@@ -203,7 +200,7 @@ func TestReplChaosPartitionZombieWrites(t *testing.T) {
 		c.Barrier()
 		c.RecvResults(2 * time.Second)
 	}()
-	if after := p.wal.appended.Load(); after != before {
+	if after, _ := p.wal.Slots(); after != before {
 		t.Fatalf("fenced primary extended its WAL: %d -> %d slots", before, after)
 	}
 	if !flightHas(p, "repl_fenced") {
@@ -399,7 +396,7 @@ func TestReplCatchUpAcrossRotation(t *testing.T) {
 
 	script := crashScript(300)
 	sendScript(t, paddr.String(), script[:260])
-	oldest := p.wal.feed.oldest()
+	oldest := p.wal.Feed().Oldest()
 	if oldest == 0 {
 		t.Fatalf("no rotation after 260 frames in %d-byte segments", pcfg.WALSegmentBytes)
 	}
@@ -439,172 +436,4 @@ func TestReplCatchUpAcrossRotation(t *testing.T) {
 	waitRole(t, s, repl.RolePrimary)
 	rs := askQueries(t, saddr.String(), lateQueries())
 	assertOracleAnswers(t, "post-rotation", rs, survived, crashWindow(), lateQueries())
-}
-
-// TestWALReplReadSegmentsAfterRotation forces catch-up reads through the
-// segment files (slots below the tail ring's reach) across a rotation:
-// more frames than the ring holds, one rotation, and every slot — file-
-// or ring-served — must come back byte-exact.
-func TestWALReplReadSegmentsAfterRotation(t *testing.T) {
-	m := faultfs.NewMem()
-	const frames = walFeedRing + 800
-	w, err := newWALWriter(m, "wal", 6000*wire.WALFrameBytes, 100, walSyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.enableFeed(); err != nil {
-		t.Fatal(err)
-	}
-	script := crashScript(frames)
-	for _, p := range script {
-		if err := w.append(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.flushBuf(false); err != nil {
-		t.Fatal(err)
-	}
-	if w.feed.oldest() != 0 || !w.hasPrev {
-		t.Fatalf("want exactly one rotation keeping slot 0 (oldest %d, hasPrev %v)",
-			w.feed.oldest(), w.hasPrev)
-	}
-	// Slots below appended-ring are only reachable through the files —
-	// including the renamed .1 segment the rotation produced.
-	next := uint64(0)
-	for next < frames {
-		b, err := w.replRead(next, 512)
-		if err != nil {
-			t.Fatalf("slot %d: %v", next, err)
-		}
-		if len(b) == 0 {
-			t.Fatalf("slot %d unreadable after full flush", next)
-		}
-		for i := 0; i < len(b)/wire.WALFrameBytes; i++ {
-			var want [wire.WALFrameBytes]byte
-			wire.EncodeWALFrame(want[:], script[next])
-			if !bytes.Equal(b[i*wire.WALFrameBytes:(i+1)*wire.WALFrameBytes], want[:]) {
-				t.Fatalf("slot %d: frame diverged across rotation", next)
-			}
-			next++
-		}
-	}
-}
-
-// TestWALReplReadRotatedPastTyped rotates a tiny-segment WAL far past the
-// tail ring: slots that fell out of both the segments and the ring must
-// fail with the typed errWALRotatedPast (the source drops the link and
-// the standby resets, loudly), while every slot still ring- or
-// file-reachable stays byte-exact.
-func TestWALReplReadRotatedPastTyped(t *testing.T) {
-	m := faultfs.NewMem()
-	const frames = walFeedRing + 800
-	w, err := newWALWriter(m, "wal", 64*wire.WALFrameBytes, 100, walSyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.enableFeed(); err != nil {
-		t.Fatal(err)
-	}
-	script := crashScript(frames)
-	for _, p := range script {
-		if err := w.append(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	oldest := w.feed.oldest()
-	ringLow := uint64(frames - walFeedRing)
-	if oldest <= ringLow {
-		t.Fatalf("oldest %d within ring reach %d: nothing rotated past", oldest, ringLow)
-	}
-	// Below the ring AND below the retained segments: typed refusal.
-	for _, s := range []uint64{0, ringLow / 2, ringLow - 1} {
-		if _, err := w.replRead(s, 1); !errors.Is(err, errWALRotatedPast) {
-			t.Fatalf("dropped slot %d: err = %v, want errWALRotatedPast", s, err)
-		}
-	}
-	// In the ring (even though the segments dropped them) and above:
-	// byte-exact. The ring keeps a rotation from tearing a live tail ship.
-	for s := ringLow; s < frames; s += 97 {
-		b, err := w.replRead(s, 1)
-		if err != nil {
-			t.Fatalf("slot %d: %v", s, err)
-		}
-		var want [wire.WALFrameBytes]byte
-		wire.EncodeWALFrame(want[:], script[s])
-		if !bytes.Equal(b, want[:]) {
-			t.Fatalf("slot %d: frame diverged", s)
-		}
-	}
-}
-
-// TestWALReplReadRotationStress races a catch-up reader against an
-// / appender that rotates continuously: every frame the reader gets must be
-// byte-exact for its slot, with errWALRotatedPast the only accepted
-// excuse to skip ahead. Run under -race this doubles as the locking proof
-// for the feed's rotation bookkeeping.
-func TestWALReplReadRotationStress(t *testing.T) {
-	m := faultfs.NewMem()
-	w, err := newWALWriter(m, "wal", 16*wire.WALFrameBytes, 50, walSyncNever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.enableFeed(); err != nil {
-		t.Fatal(err)
-	}
-	const frames = 2000
-	script := crashScript(frames)
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for _, p := range script {
-			if err := w.append(p); err != nil {
-				return
-			}
-		}
-		w.feed.close()
-	}()
-
-	var checked, skipped int
-	next := uint64(0)
-	for {
-		b, err := w.replRead(next, 7)
-		if errors.Is(err, errWALRotatedPast) {
-			old := w.feed.oldest()
-			skipped += int(old - next)
-			next = old
-			continue
-		}
-		if err != nil {
-			t.Fatalf("slot %d: %v", next, err)
-		}
-		if len(b) == 0 {
-			if !w.feed.wait(next) && next >= w.feed.commit() {
-				break // writer done and log drained
-			}
-			continue
-		}
-		for i := 0; i < len(b)/wire.WALFrameBytes; i++ {
-			var want [wire.WALFrameBytes]byte
-			wire.EncodeWALFrame(want[:], script[next])
-			if !bytes.Equal(b[i*wire.WALFrameBytes:(i+1)*wire.WALFrameBytes], want[:]) {
-				t.Fatalf("slot %d: frame diverged under rotation", next)
-			}
-			next++
-			checked++
-		}
-	}
-	wg.Wait()
-	if checked == 0 {
-		t.Fatal("reader verified nothing")
-	}
-	if next != frames {
-		// The reader may legitimately finish behind the end only if the
-		// remaining slots rotated out after its last read.
-		if next < w.feed.oldest() {
-			t.Fatalf("reader stopped at %d below oldest %d", next, w.feed.oldest())
-		}
-	}
-	t.Logf("verified %d frames, skipped %d rotated-out", checked, skipped)
 }

@@ -3,7 +3,7 @@
 // watchdog that revokes this node's own right to serve when no standby
 // ack arrives inside the lease budget.
 //
-// Catch-up and tailing are the same loop: replRead serves old slots from
+// Catch-up and tailing are the same loop: the feed serves old slots from
 // the segment files and recent ones from the feed ring, and the source
 // blocks on the feed when it reaches the end of the log. Heartbeats ride
 // a separate goroutine (sharing the connection writer under a mutex) so
@@ -24,7 +24,7 @@ import (
 // handshake writes, so a wedged peer cannot pin a source goroutine.
 const replHandshakeTimeout = 10 * time.Second
 
-// replStreamBatch is how many frames one replRead round trip ships.
+// replStreamBatch is how many frames one feed read round trip ships.
 const replStreamBatch = 256
 
 // startSource binds the replication listener and launches the acceptor
@@ -131,9 +131,9 @@ func (r *replState) serveSource(conn net.Conn) {
 		send(repl.Message{Kind: repl.TagFence, Epoch: r.epoch.Load()})
 		return
 	}
-	feed := s.wal.feed
+	feed := s.wal.Feed()
 	next := h.Applied
-	oldest, commit := feed.oldest(), feed.commit()
+	oldest, commit := feed.Oldest(), feed.Commit()
 	if h.WALID != r.selfID.Load() || next < oldest || next > commit {
 		// The standby's position means nothing against this log (different
 		// identity, rotated past, or ahead of the end): reset it to the
@@ -213,7 +213,7 @@ func (r *replState) serveSource(conn net.Conn) {
 				conn.Close()
 				return
 			}
-			c := feed.commit()
+			c := feed.Commit()
 			r.checkLag(c)
 			if send(repl.Message{Kind: repl.TagHeartbeat, Epoch: r.epoch.Load(), Commit: c}) != nil {
 				conn.Close()
@@ -226,7 +226,7 @@ func (r *replState) serveSource(conn net.Conn) {
 	var data repl.Message
 	data.Kind = repl.TagData
 	for {
-		b, err := s.wal.replRead(next, replStreamBatch)
+		b, err := feed.Read(next, replStreamBatch)
 		if err != nil {
 			// Rotated past the standby's position mid-stream, or the feed
 			// was poisoned (the WAL dropped published frames): the stream
@@ -236,11 +236,11 @@ func (r *replState) serveSource(conn net.Conn) {
 			return
 		}
 		if len(b) == 0 {
-			if !caught && next >= feed.commit() {
+			if !caught && next >= feed.Commit() {
 				caught = true
 				s.flight.Record(trace.CompRepl, trace.EvReplCaughtUp, next, next)
 			}
-			if !feed.wait(next) {
+			if !feed.Wait(next) {
 				return
 			}
 			continue

@@ -129,7 +129,7 @@ func (r *replState) linkOnce(conn net.Conn) {
 		// oldest slot would double-count everything we already hold, so
 		// only an empty standby accepts; anything else is an operator
 		// problem (wipe the standby WAL to rejoin cold).
-		if local := s.wal.appended.Load(); local != 0 {
+		if local, _ := s.wal.Slots(); local != 0 {
 			r.setErr(fmt.Sprintf(
 				"primary reset to slot %d but this standby holds %d local slots; wipe the standby WAL and replstate to rejoin",
 				m.Oldest, local))
@@ -163,7 +163,7 @@ func (r *replState) linkOnce(conn net.Conn) {
 	}
 	if id := r.upstreamID.Load(); id == 0 {
 		r.upstreamID.Store(w.WALID)
-		if err := r.persistState(); err != nil {
+		if err := s.wal.SaveReplState(w.WALID, r.replBase.Load()); err != nil {
 			r.setErr("persist replstate: " + err.Error())
 			return
 		}

@@ -1,24 +1,18 @@
 // Replication runtime state: the role/epoch machine shared by the
 // primary-side source (repl_source.go) and the standby-side link
-// (repl_standby.go), plus the durable standby position file and the
-// /statusz replication block.
+// (repl_standby.go), plus the /statusz replication block.
 //
-// Positions are *slots* in the primary's log (see wal_repl.go): the
+// Positions are *slots* in the primary's log (see internal/wal): the
 // standby's replay offset is replBase (the primary slot its local slot 0
 // corresponds to) plus its own durable slot count, so an ack is exactly
 // "this prefix of your log survives a crash on my disk". The fencing
 // epoch travels inside the WAL itself (epoch frames); this file only
-// caches the highest epoch either side has durably observed.
+// caches the highest epoch either side has durably observed. The
+// standby's durable position lives in the WAL's replstate file.
 package server
 
 import (
-	"crypto/rand"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"io/fs"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -110,11 +104,11 @@ func (r *replState) setErr(msg string) { r.lastErr.Store(msg) }
 // space: the primary slot its local log started at, plus every local slot
 // known flushed (and fsynced, per the WAL sync mode) to its own disk.
 func (r *replState) appliedSlot() uint64 {
-	w := r.s.wal
-	if w == nil {
+	if r.s.wal == nil {
 		return 0
 	}
-	return r.replBase.Load() + w.durable.Load()
+	_, durable := r.s.wal.Slots()
+	return r.replBase.Load() + durable
 }
 
 // start launches the configured replication goroutines. Called from
@@ -153,8 +147,8 @@ func (r *replState) stopAll() {
 		r.linkConn.Close()
 	}
 	r.mu.Unlock()
-	if w := r.s.wal; w != nil && w.feed != nil {
-		w.feed.close()
+	if f := r.s.wal.Feed(); f != nil {
+		f.Close()
 	}
 	r.wg.Wait()
 }
@@ -212,8 +206,7 @@ func (s *Server) applyPromote() {
 	}
 	newEpoch := r.epoch.Load() + 1
 	if s.wal != nil {
-		s.wal.noRotate = false
-		if err := s.wal.stampEpoch(newEpoch); err != nil {
+		if err := s.wal.Promote(newEpoch); err != nil {
 			s.walErrs.Add(1)
 			s.flight.Record(trace.CompWAL, trace.EvWALError, uint64(s.walErrs.Load()), 0)
 		}
@@ -251,7 +244,7 @@ func (s *Server) replRefusal() (byte, bool) {
 // would — epoch frames advance the cached epoch, checksum-failed frames
 // are logged but not replayed.
 func (s *Server) applyReplFrame(frame []byte) {
-	if err := s.wal.appendRaw(frame); err != nil {
+	if err := s.wal.AppendRaw(frame); err != nil {
 		s.walErrs.Add(1)
 		s.flight.Record(trace.CompWAL, trace.EvWALError, uint64(s.walErrs.Load()), 0)
 	}
@@ -305,9 +298,8 @@ func (r *replState) lag() (int64, float64) {
 		}
 	default:
 		if r.armed.Load() {
-			w := r.s.wal
-			if w != nil && w.feed != nil {
-				if c, a := w.feed.commit(), r.acked.Load(); c > a {
+			if f := r.s.wal.Feed(); f != nil {
+				if c, a := f.Commit(), r.acked.Load(); c > a {
 					bytes = int64(c-a) * wire.WALFrameBytes
 				}
 			}
@@ -352,7 +344,7 @@ func (s *Server) replStatus() *ReplStatus {
 		PrimaryAddr: r.primaryAddr,
 	}
 	if s.wal != nil {
-		appended, durable := s.wal.slots()
+		appended, durable := s.wal.Slots()
 		st.LogEndSlot, st.DurableSlot = appended, durable
 	}
 	switch r.roleNow() {
@@ -398,93 +390,4 @@ func (s *Server) ReplRole() repl.Role {
 		return repl.RoleNone
 	}
 	return s.repl.roleNow()
-}
-
-// --- durable standby position (<wal>.replstate) ---
-
-// replStateMagic opens the standby position file: the upstream log
-// identity and the primary slot this standby's local slot 0 maps to,
-// CRC-protected and replaced atomically (write temp, sync, rename).
-const replStateMagic = "OIJRST1\n"
-
-const replStateBytes = len(replStateMagic) + 8 + 8 + 4
-
-func (r *replState) replStatePath() string { return r.s.cfg.WALPath + ".replstate" }
-
-// persistState durably records (upstreamID, replBase) so a restarted
-// standby can prove to the primary that its local slots still line up.
-func (r *replState) persistState() error {
-	b := make([]byte, replStateBytes)
-	copy(b, replStateMagic)
-	binary.LittleEndian.PutUint64(b[8:], r.upstreamID.Load())
-	binary.LittleEndian.PutUint64(b[16:], r.replBase.Load())
-	binary.LittleEndian.PutUint32(b[24:], crc32.Checksum(b[:24], castagnoliWAL))
-	fsys := r.s.wal.fs
-	tmp := r.replStatePath() + ".tmp"
-	fsys.Remove(tmp)
-	f, _, err := fsys.OpenAppend(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return fsys.Rename(tmp, r.replStatePath())
-}
-
-// loadState restores the persisted standby position. A missing file is a
-// fresh standby; a corrupt one is an error (the operator must wipe the
-// standby rather than let it rejoin at a made-up offset). When the WAL
-// itself is empty the position is stale by definition (the log it
-// described is gone), so it is ignored and the standby rejoins cold.
-func (r *replState) loadState() error {
-	rc, err := r.s.wal.fs.Open(r.replStatePath())
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil
-		}
-		return err
-	}
-	defer rc.Close()
-	b, err := io.ReadAll(rc)
-	if err != nil {
-		return err
-	}
-	if len(b) != replStateBytes || string(b[:len(replStateMagic)]) != replStateMagic {
-		return errors.New("replstate file corrupt; remove it (and the standby WAL) to rejoin cold")
-	}
-	if binary.LittleEndian.Uint32(b[24:]) != crc32.Checksum(b[:24], castagnoliWAL) {
-		return errors.New("replstate checksum mismatch; remove it (and the standby WAL) to rejoin cold")
-	}
-	if r.s.wal.slotsBase == 0 {
-		return nil // empty local log: the persisted offsets describe nothing
-	}
-	r.upstreamID.Store(binary.LittleEndian.Uint64(b[8:]))
-	r.replBase.Store(binary.LittleEndian.Uint64(b[16:]))
-	return nil
-}
-
-// castagnoliWAL mirrors the WAL's CRC32C table for the replstate file.
-var castagnoliWAL = crc32.MakeTable(crc32.Castagnoli)
-
-// randomWALID draws a non-zero 64-bit log identity (0 means "fresh" on
-// the wire, so it is never a valid identity).
-func randomWALID() (uint64, error) {
-	for {
-		var b [8]byte
-		if _, err := rand.Read(b[:]); err != nil {
-			return 0, err
-		}
-		if id := binary.LittleEndian.Uint64(b[:]); id != 0 {
-			return id, nil
-		}
-	}
 }

@@ -36,6 +36,7 @@ import (
 	"oij/internal/prof"
 	"oij/internal/trace"
 	"oij/internal/tuple"
+	"oij/internal/wal"
 	"oij/internal/wire"
 )
 
@@ -79,7 +80,7 @@ type Config struct {
 	// /statusz (default 1s).
 	StallThreshold time.Duration
 	// WALPath, when set, appends every ingested probe to a write-ahead
-	// log (checksummed v2 frame format) and lets Recover rebuild the join
+	// log (internal/wal, checksummed frames) and lets Recover rebuild the join
 	// state after a restart. The log keeps at most two segments covering
 	// the join's retention horizon.
 	WALPath string
@@ -342,7 +343,7 @@ type Server struct {
 	// the hot path one nil check).
 	repl *replState
 
-	wal          *walWriter
+	wal          *wal.Writer
 	walErrs      atomic.Int64
 	walRecovered atomic.Int64
 	walSkipped   atomic.Int64
@@ -474,45 +475,46 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.o = newServerObs(s, cfg.Engine.Joiners)
 	if cfg.WALPath != "" {
-		mode, err := parseWALSync(cfg.WALSync)
+		mode, err := wal.ParseSync(cfg.WALSync)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		w := cfg.Engine.Window
-		retention := 2*w.Len() + w.Lateness
-		s.wal, err = newWALWriter(cfg.WALFS, cfg.WALPath, cfg.WALSegmentBytes, retention, mode)
+		s.wal, err = wal.Open(cfg.WALPath, wal.Options{
+			FS:           cfg.WALFS,
+			SegmentBytes: cfg.WALSegmentBytes,
+			Retention:    2*w.Len() + w.Lateness,
+			Sync:         mode,
+			// A standby's log mirrors the primary's, so its slot offsets
+			// must stay stable: rotation waits for promotion.
+			Standby: cfg.StandbyOf != "",
+			// A source needs the feed attached before the first append so
+			// slot accounting and the tail ring agree; a standby with a
+			// listener gets it now too (the listener starts at promotion).
+			Feed:   cfg.ReplListenAddr != "",
+			Flight: s.flight,
+			Alloc:  func(objs, bytes int64) { s.o.countAlloc(trace.StageWALAppend, objs, bytes) },
+		})
 		if err != nil {
 			return nil, err
 		}
-		// Tail bytes cut while sanitizing existing segments (torn v2
-		// tails, unsalvageable v1 suffixes) count as truncated even if
-		// Recover is never called.
-		s.walTruncated.Add(s.wal.sanitized)
-		s.wal.fr = s.flight
-		s.wal.alloc = func(objs, bytes int64) { s.o.countAlloc(trace.StageWALAppend, objs, bytes) }
-		if s.wal.sanitized > 0 {
-			s.flight.Record(trace.CompWAL, trace.EvWALSalvage, uint64(s.wal.sanitized), 0)
-		}
+		// Bytes cut while sanitizing the current segment count as
+		// truncated even if Recover is never called.
+		s.walTruncated.Add(s.wal.Sanitized())
 	}
 	if s.repl != nil {
-		// A standby's WAL mirrors the primary's log, so its slot offsets
-		// must stay stable: rotation is disabled until promotion. Its
-		// durable position (which primary log, at which base slot) lives
-		// in the replstate file beside the WAL.
+		// A standby's durable position (which primary log, at which base
+		// slot) lives in the replstate file beside the WAL.
 		if cfg.StandbyOf != "" {
-			s.wal.noRotate = true
-			if err := s.repl.loadState(); err != nil {
+			id, base, err := s.wal.LoadReplState()
+			if err != nil {
 				return nil, fmt.Errorf("server: %w", err)
 			}
+			s.repl.upstreamID.Store(id)
+			s.repl.replBase.Store(base)
 		}
-		// A source needs the feed attached before the first append so slot
-		// accounting and the tail ring agree; a standby configured with a
-		// listener gets it now too (the listener starts at promotion).
 		if cfg.ReplListenAddr != "" {
-			if _, err := s.wal.enableFeed(); err != nil {
-				return nil, fmt.Errorf("server: %w", err)
-			}
-			id, err := randomWALID()
+			id, err := wal.NewID()
 			if err != nil {
 				return nil, fmt.Errorf("server: wal id: %w", err)
 			}
@@ -521,7 +523,7 @@ func New(cfg Config) (*Server, error) {
 		// The highest epoch stamped in the recovered log is this node's
 		// fencing epoch — a zombie restarting after a failover announces
 		// its staleness with it.
-		s.repl.epoch.Store(s.wal.epoch)
+		s.repl.epoch.Store(s.wal.Epoch())
 	}
 	return s, nil
 }
@@ -546,22 +548,18 @@ func (s *Server) startEngine() {
 // skipped, with both outcomes counted in WALStats and /metrics. Without a
 // configured WALPath it is a no-op.
 func (s *Server) Recover() (int, error) {
-	if s.cfg.WALPath == "" {
+	if s.wal == nil {
 		return 0, nil
 	}
 	s.startEngine()
-	st, newest, err := replayWAL(s.wal.fs, s.cfg.WALPath, func(t wire.Tuple) {
+	st, err := s.wal.Replay(func(t wire.Tuple) {
 		s.probesIngested.Add(1)
 		s.eng.Ingest(tuple.Tuple{TS: t.TS, Key: t.Key, Val: t.Val, Side: tuple.Probe})
 	})
-	s.walRecovered.Add(st.recovered)
-	s.walSkipped.Add(st.skipped)
-	s.walTruncated.Add(st.truncated)
-	s.flight.Record(trace.CompWAL, trace.EvWALRecovered, uint64(st.recovered), uint64(st.skipped))
-	if newest > s.wal.maxTS {
-		s.wal.maxTS = newest
-	}
-	return int(st.recovered), err
+	s.walRecovered.Add(st.Recovered)
+	s.walSkipped.Add(st.Skipped)
+	s.walTruncated.Add(st.Truncated)
+	return int(st.Recovered), err
 }
 
 // serverSink routes engine results back to the issuing session.
@@ -783,7 +781,7 @@ func (s *Server) ingestLoop() {
 			if s.wal != nil {
 				// Durability rides the heartbeat cadence (and fsyncs
 				// here in the default "interval" sync mode).
-				if err := s.wal.heartbeat(); err != nil {
+				if err := s.wal.Heartbeat(); err != nil {
 					s.walErrs.Add(1)
 				}
 			}
@@ -866,7 +864,7 @@ func (s *Server) ingestLoop() {
 				if traced {
 					t0 = time.Now()
 				}
-				if err := s.wal.append(req.t); err != nil {
+				if err := s.wal.Append(req.t); err != nil {
 					// Durability degraded, availability kept:
 					// log once per incident via the error frame
 					// path is overkill here; the counter lets
@@ -981,7 +979,7 @@ func (s *Server) Shutdown() {
 		s.admin.Close()
 	}
 	if s.wal != nil {
-		s.wal.close()
+		s.wal.Close()
 	}
 	// Last: a capture in flight may still be stamping flight sequences.
 	s.prof.Close()

@@ -209,18 +209,23 @@ func (l *List[K, V]) Contains(key K) bool {
 // seekGE returns the first node with key >= target, or nil. This is the
 // paper's Algorithm 1 search loop: descend while the successor overshoots,
 // advance while it undershoots, loading every next pointer atomically.
+//
+// It returns the level-0 successor it compared against target: loading
+// n.next[0] again could observe a node the writer spliced in after n
+// since, whose key may be below target.
 func (l *List[K, V]) seekGE(target K) *node[K, V] {
 	n := l.head
+	var next *node[K, V]
 	for level := MaxHeight - 1; level >= 0; level-- {
 		for {
-			next := n.next[level].Load()
+			next = n.next[level].Load()
 			if next == nil || next.key >= target {
 				break
 			}
 			n = next
 		}
 	}
-	return n.next[0].Load()
+	return next
 }
 
 // Min returns the smallest key in the list.

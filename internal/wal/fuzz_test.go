@@ -1,4 +1,4 @@
-package server
+package wal
 
 import (
 	"strings"
@@ -12,17 +12,17 @@ import (
 // FuzzWALRecover throws arbitrary bytes at the recovery path as a segment
 // image. Invariants: recovery never panics and never reports an error on
 // content (only I/O can fail); the replay callback fires exactly
-// st.recovered times; a writer opened over the same segment (sanitize +
-// migrate) always succeeds; and after one append + clean close, a second
-// recovery sees a fully clean log — every previously salvaged frame, the
-// new frame, no torn bytes.
+// st.Recovered times; a writer opened over the same segment (sanitize,
+// which resets a segment without the header) always succeeds; and after
+// one append + clean close, a second recovery sees a fully clean log —
+// every previously salvaged frame, the new frame, no torn bytes.
 func FuzzWALRecover(f *testing.F) {
 	frame := func(t wire.Tuple) []byte {
 		var b [wire.WALFrameBytes]byte
 		wire.EncodeWALFrame(b[:], t)
 		return b[:]
 	}
-	// A healthy v2 segment.
+	// A healthy segment.
 	v2 := []byte(wire.WALMagicV2)
 	for i := 0; i < 3; i++ {
 		v2 = append(v2, frame(wire.Tuple{TS: tuple.Time(i), Key: 1, Val: 1})...)
@@ -32,7 +32,8 @@ func FuzzWALRecover(f *testing.F) {
 	dam := append([]byte(nil), v2...)
 	dam[wire.WALHeaderBytes+wire.WALFrameBytes+7] ^= 0x01
 	f.Add(append(dam, 0xab, 0xcd))
-	// A legacy v1 segment (raw network frames), intact and torn.
+	// A pre-checksum (v1-shaped) image of raw network frames, intact and
+	// torn: junk without the header.
 	var sb strings.Builder
 	enc := wire.NewWriter(&sb)
 	enc.WriteTuple(wire.Tuple{TS: 9, Key: 2, Val: 0.5})
@@ -50,39 +51,39 @@ func FuzzWALRecover(f *testing.F) {
 		m.Put("wal", data)
 
 		var replayed int64
-		st, _, err := replayWAL(m, "wal", func(wire.Tuple) { replayed++ })
+		st, err := Replay(m, "wal", func(wire.Tuple) { replayed++ })
 		if err != nil {
 			t.Fatalf("recovery failed on content: %v", err)
 		}
-		if replayed != st.recovered {
-			t.Fatalf("callback fired %d times, stats say %d", replayed, st.recovered)
+		if replayed != st.Recovered {
+			t.Fatalf("callback fired %d times, stats say %d", replayed, st.Recovered)
 		}
 
 		// Second life: the writer must be able to continue any log.
-		w, err := newWALWriter(m, "wal", 1<<20, 1000, walSyncAlways)
+		w, err := openWriter(m, 1<<20, 1000, SyncAlways)
 		if err != nil {
 			t.Fatalf("writer refused salvageable log: %v", err)
 		}
-		if err := w.append(wire.Tuple{TS: 1 << 40, Key: 7, Val: 2}); err != nil {
+		if err := w.Append(wire.Tuple{TS: 1 << 40, Key: 7, Val: 2}); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.close(); err != nil {
+		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
 
-		st2, _, err := replayWAL(m, "wal", nil)
+		st2, err := Replay(m, "wal", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st2.truncated != 0 {
-			t.Fatalf("sanitized log still has %d torn bytes", st2.truncated)
+		if st2.Truncated != 0 {
+			t.Fatalf("sanitized log still has %d torn bytes", st2.Truncated)
 		}
-		if st2.recovered != st.recovered+1 {
+		if st2.Recovered != st.Recovered+1 {
 			t.Fatalf("second life recovered %d frames, want %d salvaged + 1 new",
-				st2.recovered, st.recovered)
+				st2.Recovered, st.Recovered)
 		}
-		if st2.skipped != st.skipped {
-			t.Fatalf("skip count changed across sanitize: %d -> %d", st.skipped, st2.skipped)
+		if st2.Skipped != st.Skipped {
+			t.Fatalf("skip count changed across sanitize: %d -> %d", st.Skipped, st2.Skipped)
 		}
 	})
 }

@@ -1,8 +1,6 @@
-// WAL frame format v2: the on-disk encoding of the server's write-ahead
-// log. Version 1 reused the raw network frames (25-byte probe records, no
-// integrity check), so a flipped bit replayed garbage silently. Version 2
-// keeps the same fixed layout but prefixes every segment with a magic
-// header and suffixes every frame with a CRC32C of its contents:
+// WAL frame format: the on-disk encoding of the write-ahead log (written
+// and read by internal/wal). Every segment starts with a magic header and
+// every frame carries a CRC32C of its contents:
 //
 //	segment: magic "OIJWALv2" (8)  then frames
 //	frame  : tag(1) ts(8) key(8) val(8) crc32c(4)               = 29 B
@@ -23,15 +21,14 @@ import (
 	"oij/internal/tuple"
 )
 
-// WALMagicV2 opens every v2 WAL segment. Legacy (v1) segments start
-// directly with a frame tag byte (0x01/0x02), which can never collide with
-// 'O', so format detection is a single-byte peek.
+// WALMagicV2 opens every WAL segment. A segment that does not start with
+// it holds nothing recoverable (internal/wal resets it).
 const WALMagicV2 = "OIJWALv2"
 
-// WALHeaderBytes is the v2 segment header size.
+// WALHeaderBytes is the segment header size.
 const WALHeaderBytes = len(WALMagicV2)
 
-// WALFrameBytes is the size of one v2 WAL frame on disk.
+// WALFrameBytes is the size of one WAL frame on disk.
 const WALFrameBytes = 29
 
 // walFramePayload is the checksummed prefix of a frame.
@@ -40,12 +37,12 @@ const walFramePayload = 25
 // ErrBadFrame marks a WAL frame whose checksum or tag is invalid.
 var ErrBadFrame = errors.New("wire: wal frame corrupt")
 
-// TagWALEpoch marks an epoch frame: a v2 WAL frame (same 29-byte layout
+// TagWALEpoch marks an epoch frame: a WAL frame (same 29-byte layout
 // and checksum) that carries the replication fencing epoch instead of a
 // tuple. One is stamped at the start of every segment written by a
 // replicated node and again whenever the epoch changes, so recovery of
 // any surviving segment suffix finds the highest epoch this log acked
-// under. The tag is outside the data range, so v2 readers that predate
+// under. The tag is outside the data range, so readers that predate
 // replication skip epoch frames as unparseable rather than replaying
 // garbage tuples. The epoch occupies the ts field; key and val are zero.
 const TagWALEpoch byte = 0x0e
@@ -53,7 +50,11 @@ const TagWALEpoch byte = 0x0e
 // castagnoli is the CRC32C table (hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// EncodeWALFrame writes t as one v2 WAL frame into b, which must hold at
+// WALChecksum is the CRC32C WAL frames carry, shared with the other small
+// records kept beside the log (the replication position file).
+func WALChecksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
+
+// EncodeWALFrame writes t as one WAL frame into b, which must hold at
 // least WALFrameBytes.
 func EncodeWALFrame(b []byte, t Tuple) {
 	if t.Base {
@@ -91,7 +92,7 @@ func DecodeWALEpochFrame(b []byte) (uint64, error) {
 	return binary.LittleEndian.Uint64(b[1:]), nil
 }
 
-// DecodeWALFrame parses one v2 WAL frame from b[:WALFrameBytes]. It
+// DecodeWALFrame parses one WAL frame from b[:WALFrameBytes]. It
 // returns ErrBadFrame when the tag is not a data tag or the checksum does
 // not match — the caller decides whether to skip or stop.
 func DecodeWALFrame(b []byte) (Tuple, error) {
