@@ -296,6 +296,9 @@ type Controller struct {
 	pressureHold           int
 	lastJoiners, lastAdm   uint64 // epoch of last action; ^0 = never
 	lastTrace, lastMem     uint64
+	// epoch is the newest epoch Step saw: an Override acts "at" it, so
+	// a manual change starts the same cooldown a rule-driven one does.
+	epoch uint64
 
 	// Decision log and rate limiting.
 	ring       []Decision
@@ -426,6 +429,7 @@ func (c *Controller) Step(now time.Time, sig Signals) []Decision {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.epoch = sig.Epoch
 	if c.frozen {
 		return nil
 	}
@@ -649,8 +653,11 @@ func (c *Controller) stepMem(now time.Time, sig Signals) *Decision {
 
 // Override applies a manual actuator change from /controlz, bypassing
 // rules, holds, and the freeze switch (a frozen controller is exactly the
-// state where an operator drives by hand). Returns the recorded decision
-// or an error for unknown actuators/values.
+// state where an operator drives by hand). Like a rule-driven change, a
+// joiner or admission override clears that actuator's holds and starts its
+// cooldown at the newest stepped epoch, so the next idle epoch cannot undo
+// it. Returns the recorded decision or an error for unknown
+// actuators/values.
 func (c *Controller) Override(now time.Time, actuator string, value int) (Decision, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -668,6 +675,8 @@ func (c *Controller) Override(now time.Time, actuator string, value int) (Decisi
 			return zero, fmt.Errorf("control: engine refused resize")
 		}
 		c.joiners = value
+		c.lastJoiners = c.epoch
+		c.upHold, c.downHold = 0, 0
 		c.record(now, 0, ruleManual, actuator, int64(old), int64(value), "", "", "manual")
 		return c.lastDecision(), nil
 	case "admission":
@@ -680,6 +689,8 @@ func (c *Controller) Override(now time.Time, actuator string, value int) (Decisi
 		old := c.admission
 		c.act.SetAdmission(value)
 		c.admission = value
+		c.lastAdm = c.epoch
+		c.tightHold, c.relaxHold = 0, 0
 		c.record(now, 0, ruleManual, actuator, int64(old), int64(value),
 			AdmissionName(old), AdmissionName(value), "manual")
 		return c.lastDecision(), nil

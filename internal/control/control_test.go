@@ -282,6 +282,57 @@ func TestOverrideAppliesAndRecords(t *testing.T) {
 	}
 }
 
+// TestOverrideStartsCooldown: a manual change starts the same cooldown a
+// rule-driven one does and clears the holds built before it, so the idle
+// epochs right after an operator's resize cannot undo it.
+func TestOverrideStartsCooldown(t *testing.T) {
+	cfg := testCfg()
+	cfg.CooldownEpochs = 5
+	acts := &fakeActs{}
+	c := New(cfg, testBoot(), acts.actuators(), nil)
+	now := time.Unix(1000, 0)
+	// step returns the epoch's joiner and admission decisions (the trace
+	// rule coarsens sampling under the reject level; it is not under test).
+	step := func(epoch uint64) []Decision {
+		s := idle
+		s.Epoch = epoch
+		var out []Decision
+		for _, d := range c.Step(now.Add(time.Duration(epoch)*time.Second), s) {
+			if d.Actuator == "joiners" || d.Actuator == "admission" {
+				out = append(out, d)
+			}
+		}
+		return out
+	}
+	// Two idle epochs build scale-down and relax holds one short of
+	// RelaxEpochs; then the operator acts.
+	for e := uint64(1); e <= 2; e++ {
+		if got := step(e); len(got) != 0 {
+			t.Fatalf("epoch %d: decisions before the override: %v", e, got)
+		}
+	}
+	if _, err := c.Override(now.Add(2500*time.Millisecond), "joiners", 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Override(now.Add(2500*time.Millisecond), "admission", AdmissionReject); err != nil {
+		t.Fatal(err)
+	}
+	for e := uint64(3); e < 2+uint64(cfg.CooldownEpochs); e++ {
+		if got := step(e); len(got) != 0 {
+			t.Fatalf("epoch %d: decision inside the override's cooldown: %+v", e, got)
+		}
+	}
+	if !equalInts(acts.resizes, []int{3}) || !equalInts(acts.admissions, []int{AdmissionReject}) {
+		t.Fatalf("actuators touched inside the cooldown: resizes %v admissions %v", acts.resizes, acts.admissions)
+	}
+	// The cooldown ends: the idle rules act again, one step each.
+	got := step(2 + uint64(cfg.CooldownEpochs))
+	if len(got) != 2 || got[0].Actuator != "joiners" || got[0].New != 2 ||
+		got[1].Actuator != "admission" || got[1].New != AdmissionShed {
+		t.Fatalf("first decisions after the cooldown = %+v", got)
+	}
+}
+
 func TestDecisionRateBounded(t *testing.T) {
 	cfg := testCfg()
 	cfg.HoldEpochs = 1

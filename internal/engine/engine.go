@@ -579,7 +579,7 @@ func (t *Transport) Go(i int, h JoinerHooks) {
 					}
 					return
 				}
-				runtime.Gosched()
+				ring.Wait()
 				continue
 			}
 			var start time.Time

@@ -1,6 +1,7 @@
 // Package queue provides the lock-free single-producer/single-consumer ring
 // buffer used as the transport between partitioner threads, joiner threads,
-// and result mergers. Every engine in the repository moves tuples over
+// and result mergers, and the one wait strategy (Waker) every consumer of
+// an empty ring parks on. Every engine in the repository moves tuples over
 // these rings, so transport overhead is identical across algorithms and
 // measured differences come from the join designs themselves.
 package queue
@@ -22,9 +23,12 @@ type pad [cacheLine]byte
 // producer caches the consumer's head and only re-reads the shared atomic
 // when the cached value indicates a full ring (and symmetrically for the
 // consumer), so the steady-state cost per operation is one release store.
+// A push also loads the consumer's sleeping flag (see Waker), which sits on
+// its own cache line and stays unset while the consumer is busy.
 type SPSC[T any] struct {
 	mask uint64
 	buf  []T
+	w    *Waker
 
 	_          pad
 	head       atomic.Uint64 // next slot to read; owned by consumer
@@ -37,13 +41,19 @@ type SPSC[T any] struct {
 }
 
 // NewSPSC creates a ring with capacity rounded up to the next power of two
-// (minimum 2).
+// (minimum 2) and a Waker of its own.
 func NewSPSC[T any](capacity int) *SPSC[T] {
+	return NewSPSCWaker[T](capacity, NewWaker())
+}
+
+// NewSPSCWaker creates a ring whose pushes and Close wake w. Rings drained
+// by one consumer share one Waker, so one park covers all of them.
+func NewSPSCWaker[T any](capacity int, w *Waker) *SPSC[T] {
 	n := uint64(2)
 	for n < uint64(capacity) {
 		n <<= 1
 	}
-	return &SPSC[T]{mask: n - 1, buf: make([]T, n)}
+	return &SPSC[T]{mask: n - 1, buf: make([]T, n), w: w}
 }
 
 // Cap returns the ring capacity.
@@ -61,6 +71,7 @@ func (q *SPSC[T]) TryPush(v T) bool {
 	}
 	q.buf[tail&q.mask] = v
 	q.tail.Store(tail + 1)
+	q.w.wake()
 	return true
 }
 
@@ -108,9 +119,21 @@ func (q *SPSC[T]) Len() int {
 	return int(q.tail.Load() - q.head.Load())
 }
 
-// Close marks the queue closed; the producer must not push afterwards.
-func (q *SPSC[T]) Close() { q.closed.Store(true) }
+// Close marks the queue closed and wakes its consumer; the producer must
+// not push afterwards.
+func (q *SPSC[T]) Close() {
+	q.closed.Store(true)
+	q.w.signal()
+}
 
 // Closed reports whether Close has been called. A consumer should treat
 // Closed-and-empty as end of stream.
 func (q *SPSC[T]) Closed() bool { return q.closed.Load() }
+
+// readable reports whether the ring holds an item or is closed: the
+// condition a parked consumer waits for.
+func (q *SPSC[T]) readable() bool { return q.Len() > 0 || q.Closed() }
+
+// Wait blocks the consumer until the ring holds an item or is closed (or
+// until a spurious wake; callers loop). Consumer goroutine only.
+func (q *SPSC[T]) Wait() { q.w.Wait(q.readable) }

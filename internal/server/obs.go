@@ -47,7 +47,7 @@ type serverObs struct {
 	deadlineRejected *obs.Counter // requests NACKed past RequestDeadline
 	memShedProbes    *obs.Counter // probes shed by the memory watermark guard
 	slowEvicted      *obs.Counter // sessions evicted for not draining results
-	nacksDropped     *obs.Counter // NACKs dropped because the session buffer was full
+	nacksDropped     *obs.Counter // NACKs dropped: session buffer full past the grace, or session closed
 
 	// replRefused counts writes refused because this node is a standby or
 	// fenced (nil — never incremented — when replication is off).
@@ -197,7 +197,7 @@ func newServerObs(s *Server, joiners int) *serverObs {
 	o.deadlineRejected = reg.NewCounter("oij_deadline_rejected_total", "Requests NACKed after exceeding the per-request deadline in the funnel.")
 	o.memShedProbes = reg.NewCounter("oij_mem_shed_probes_total", "Probe tuples shed by the memory watermark guard.")
 	o.slowEvicted = reg.NewCounter("oij_slow_sessions_evicted_total", "Sessions evicted because their result buffer stayed full past the grace period.")
-	o.nacksDropped = reg.NewCounter("oij_nacks_dropped_total", "NACK frames dropped because the session's outgoing buffer was full.")
+	o.nacksDropped = reg.NewCounter("oij_nacks_dropped_total", "NACK frames dropped because the session's outgoing buffer stayed full past the slow-consumer grace or the session closed.")
 
 	reg.NewGaugeFunc("oij_uptime_seconds", "Seconds since the server started.", func() float64 {
 		return time.Since(o.started).Seconds()

@@ -739,8 +739,10 @@ func (s *Server) acceptLoop() {
 			return
 		}
 		s.sessions[sess] = struct{}{}
-		s.mu.Unlock()
+		// Add under mu: Shutdown sets closed under mu before it waits,
+		// so every Add it did not refuse happens before its Wait.
 		s.sessWG.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.sessWG.Done()
 			sess.run()
@@ -796,10 +798,7 @@ func (s *Server) ingestLoop() {
 			continue
 		}
 		if req.flush {
-			// Every base this session sent before the flush frame
-			// has been registered by now; ack once they are all
-			// answered.
-			go req.sess.ackFlush()
+			req.sess.flushBarrier()
 			continue
 		}
 		// Role gate at the funnel, not just admission: a primary fenced
@@ -809,7 +808,7 @@ func (s *Server) ingestLoop() {
 		if code, refused := s.replRefusal(); refused {
 			s.o.replRefused.Inc()
 			if req.sess != nil {
-				req.sess.sendNackNonblock(req.localSeq, code)
+				req.sess.funnelNack(req.localSeq, code)
 				s.tracer.Abandon(req.sp)
 			}
 			continue
@@ -823,7 +822,7 @@ func (s *Server) ingestLoop() {
 				s.o.deadlineRejected.Inc()
 				s.flight.Record(trace.CompAdmission, trace.EvDeadlineNack,
 					req.localSeq, uint64(time.Since(req.enq)))
-				req.sess.sendNackNonblock(req.localSeq, wire.NackDeadline)
+				req.sess.funnelNack(req.localSeq, wire.NackDeadline)
 				s.tracer.Abandon(req.sp)
 				continue
 			}
@@ -1019,8 +1018,17 @@ type session struct {
 	// sequences are assigned in frame-arrival order before admission, so
 	// a NACKed request still consumes the sequence number the client
 	// assigned it and accepted requests stay aligned.
-	nextLocal   uint64
+	nextLocal uint64
+
+	// outstanding counts the session's requests registered with the
+	// engine and not yet answered; flushes counts flush barriers the
+	// funnel saw while some were. flushMu makes "is anything outstanding"
+	// and "remember this barrier" one step, so each ack is queued exactly
+	// once: by the funnel when nothing is outstanding, else by the
+	// deliver that brings outstanding to zero.
 	outstanding atomic.Int64
+	flushMu     sync.Mutex
+	flushes     int
 
 	closeOnce sync.Once
 	evicted   atomic.Bool
@@ -1039,30 +1047,34 @@ func newSession(s *Server, conn net.Conn) *session {
 // deliver queues a result for the writer goroutine. The outstanding
 // counter is decremented only after the result is queued, so a flush ack
 // can never overtake the final answer it covers.
-//
-// A session whose buffer is full gets SlowConsumerGrace to drain; if it is
-// still full after the grace the session is evicted and the result dropped,
-// so one stuck client stalls delivery for at most one grace period instead
-// of wedging the engine behind it (grace < 0 restores the legacy blocking
-// behavior).
 func (se *session) deliver(r wire.Result, sp *trace.Span) {
-	defer se.outstanding.Add(-1)
-	m := outMsg{m: wire.Message{Kind: wire.TagResult, Result: r}, sp: sp}
+	defer se.answered()
+	if !se.send(outMsg{m: wire.Message{Kind: wire.TagResult, Result: r}, sp: sp}) {
+		se.s.tracer.Abandon(sp)
+	}
+}
+
+// send queues m for the writer goroutine and reports whether it was
+// queued. A session whose buffer is full gets SlowConsumerGrace to drain;
+// if it is still full after the grace the session is evicted and m
+// dropped, so one stuck client stalls its sender for at most one grace
+// period instead of wedging the engine or the funnel behind it (grace < 0
+// restores the legacy blocking behavior).
+func (se *session) send(m outMsg) bool {
 	grace := se.s.cfg.SlowConsumerGrace
 	if grace < 0 {
 		select {
 		case se.out <- m:
+			return true
 		case <-se.done:
-			se.s.tracer.Abandon(sp)
+			return false
 		}
-		return
 	}
 	select {
 	case se.out <- m:
-		return
+		return true
 	case <-se.done:
-		se.s.tracer.Abandon(sp)
-		return
+		return false
 	default:
 	}
 	timer := time.NewTimer(grace)
@@ -1070,11 +1082,45 @@ func (se *session) deliver(r wire.Result, sp *trace.Span) {
 	defer timer.Stop()
 	select {
 	case se.out <- m:
+		return true
 	case <-se.done:
-		se.s.tracer.Abandon(sp)
 	case <-timer.C:
 		se.evictSlow()
-		se.s.tracer.Abandon(sp)
+	}
+	return false
+}
+
+// answered retires one outstanding request after its answer was queued
+// (or dropped with the session). The decrement that reaches zero queues
+// the acks of every flush barrier waiting on it.
+func (se *session) answered() {
+	if se.outstanding.Add(-1) != 0 {
+		return
+	}
+	se.flushMu.Lock()
+	n := 0
+	if se.outstanding.Load() == 0 {
+		n, se.flushes = se.flushes, 0
+	}
+	se.flushMu.Unlock()
+	for ; n > 0; n-- {
+		se.send(outMsg{m: wire.Message{Kind: wire.TagFlush}})
+	}
+}
+
+// flushBarrier handles a flush frame at the funnel. Every base this
+// session sent before it has been registered by now, so the ack is due
+// once nothing is outstanding: immediately, or from the deliver that
+// answers the last of them.
+func (se *session) flushBarrier() {
+	se.flushMu.Lock()
+	due := se.outstanding.Load() == 0
+	if !due {
+		se.flushes++
+	}
+	se.flushMu.Unlock()
+	if due {
+		se.send(outMsg{m: wire.Message{Kind: wire.TagFlush}})
 	}
 }
 
@@ -1213,31 +1259,14 @@ func (se *session) sendNack(seq uint64, code byte) {
 	}
 }
 
-// sendNackNonblock queues a NACK from the ingest goroutine. It must never
-// block — a full session buffer would stall the shared funnel — so a NACK
-// that does not fit is dropped and counted; the session is congested and
-// headed for eviction anyway, and clients recover via read timeouts.
-func (se *session) sendNackNonblock(seq uint64, code byte) {
-	select {
-	case se.out <- outMsg{m: wire.Message{Kind: wire.TagNack, Nack: wire.Nack{Seq: seq, Code: code}}}:
-	default:
+// funnelNack queues a NACK from the ingest goroutine. Like a result or a
+// flush ack it waits at most SlowConsumerGrace for buffer space, so a
+// session that is draining never loses a NACK to a momentary burst, and
+// a wedged one costs the funnel one grace period before it is evicted. A
+// NACK that was not queued is counted.
+func (se *session) funnelNack(seq uint64, code byte) {
+	if !se.send(outMsg{m: wire.Message{Kind: wire.TagNack, Nack: wire.Nack{Seq: seq, Code: code}}}) {
 		se.s.o.nacksDropped.Inc()
-	}
-}
-
-// ackFlush waits until the session has no outstanding requests, then
-// echoes a flush frame.
-func (se *session) ackFlush() {
-	for se.outstanding.Load() > 0 {
-		select {
-		case <-se.done:
-			return
-		case <-time.After(time.Millisecond):
-		}
-	}
-	select {
-	case se.out <- outMsg{m: wire.Message{Kind: wire.TagFlush}}:
-	case <-se.done:
 	}
 }
 

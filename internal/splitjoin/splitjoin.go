@@ -51,9 +51,11 @@ type Engine struct {
 	stats *engine.Stats
 	js    []*joiner
 
-	// partials[i] carries joiner i's partial aggregates to the merger.
-	partials []*queue.SPSC[partial]
-	mergerWG sync.WaitGroup
+	// partials[i] carries joiner i's partial aggregates to the merger;
+	// all of them share mergeWake, the merger's one park.
+	partials  []*queue.SPSC[partial]
+	mergeWake *queue.Waker
+	mergerWG  sync.WaitGroup
 }
 
 // New builds a SplitJoin engine.
@@ -67,8 +69,9 @@ func New(cfg engine.Config, sink engine.Sink) *Engine {
 	e.srec, _ = sink.(engine.StageRecorder)
 	e.arec, _ = sink.(engine.AllocRecorder)
 	e.partials = make([]*queue.SPSC[partial], cfg.Joiners)
+	e.mergeWake = queue.NewWaker()
 	for i := range e.partials {
-		e.partials[i] = queue.NewSPSC[partial](cfg.QueueCap)
+		e.partials[i] = queue.NewSPSCWaker[partial](cfg.QueueCap, e.mergeWake)
 	}
 	e.js = make([]*joiner, cfg.Joiners)
 	for i := range e.js {
@@ -148,9 +151,8 @@ type mergeSlot struct {
 func (e *Engine) mergeLoop() {
 	defer e.mergerWG.Done()
 	slots := make(map[uint64]*mergeSlot)
-	open := len(e.partials)
 	batch := make([]partial, 64)
-	for open > 0 {
+	for {
 		progress := false
 		for _, q := range e.partials {
 			n := q.PopBatch(batch)
@@ -192,16 +194,35 @@ func (e *Engine) mergeLoop() {
 				}
 			}
 		}
-		if !progress {
-			open = 0
-			for _, q := range e.partials {
-				if !q.Closed() || q.Len() > 0 {
-					open++
-				}
-			}
-			runtime.Gosched()
+		if progress {
+			continue
+		}
+		if e.partialsDrained() {
+			return
+		}
+		e.mergeWake.Wait(e.partialReady)
+	}
+}
+
+// partialsDrained reports whether every partial ring is closed and empty.
+func (e *Engine) partialsDrained() bool {
+	for _, q := range e.partials {
+		if !q.Closed() || q.Len() > 0 {
+			return false
 		}
 	}
+	return true
+}
+
+// partialReady reports whether the merger has anything to do: a partial
+// queued on some ring, or every ring closed.
+func (e *Engine) partialReady() bool {
+	for _, q := range e.partials {
+		if q.Len() > 0 {
+			return true
+		}
+	}
+	return e.partialsDrained()
 }
 
 // joiner is one SplitJoin worker: it stores its round-robin 1/J share of
