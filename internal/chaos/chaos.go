@@ -190,7 +190,6 @@ func (p *Proxy) pump(src, dst net.Conn) {
 			if werr := p.writeChunked(dst, buf[:n], rng); werr != nil {
 				return
 			}
-			p.ForwardedBytes.Add(int64(n))
 		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
@@ -209,19 +208,30 @@ func (p *Proxy) pump(src, dst net.Conn) {
 func (p *Proxy) writeChunked(dst net.Conn, b []byte, rng *rand.Rand) error {
 	max := int(p.chunkBytes.Load())
 	if max <= 0 || max >= len(b) {
-		_, err := dst.Write(b)
-		return err
+		return p.forward(dst, b)
 	}
 	for len(b) > 0 {
 		n := 1 + rng.Intn(max)
 		if n > len(b) {
 			n = len(b)
 		}
-		if _, err := dst.Write(b[:n]); err != nil {
+		if err := p.forward(dst, b[:n]); err != nil {
 			return err
 		}
 		b = b[n:]
 		time.Sleep(50 * time.Microsecond)
 	}
 	return nil
+}
+
+// forward writes one piece to dst, counting it in ForwardedBytes before
+// the write: once the peer can read the bytes (and answer them) they are
+// already counted. A failed write takes back what it did not deliver.
+func (p *Proxy) forward(dst net.Conn, b []byte) error {
+	p.ForwardedBytes.Add(int64(len(b)))
+	n, err := dst.Write(b)
+	if err != nil {
+		p.ForwardedBytes.Add(-int64(len(b) - n))
+	}
+	return err
 }

@@ -2,9 +2,11 @@
 // implementation in the repository (Key-OIJ, Scale-OIJ, SplitJoin, the
 // OpenMLDB-style baseline): configuration, the driver-facing lifecycle, the
 // result sink, runtime statistics, and the common joiner plumbing (SPSC
-// transport, in-band watermark control tuples, key hashing), so that
-// measured differences between algorithms come from their join designs and
-// not from incidental framework differences.
+// transport, in-band watermark control tuples, key hashing). Core, which
+// every engine embeds, writes that framework once — the transport, the
+// statistics, the sink's recorders, the emit, the instrumented join and the
+// introspection — so that measured differences between algorithms come
+// from their join designs and not from incidental framework differences.
 package engine
 
 import (
@@ -124,8 +126,8 @@ type Sink interface {
 }
 
 // StageRecorder is implemented by sinks that attach per-request trace
-// spans (the serving path's sampled tracing). Engines assert their sink
-// for it at construction, like LatencyRecorder; SpanFor returns nil for
+// spans (the serving path's sampled tracing). Core asserts the sink for
+// it once, at construction, like LatencyRecorder; SpanFor returns nil for
 // unsampled requests, and every trace.Span method is nil-safe, so joiners
 // stamp unconditionally. Safe from any joiner goroutine.
 type StageRecorder interface {
@@ -134,8 +136,8 @@ type StageRecorder interface {
 
 // AllocRecorder is implemented by sinks that account hot-path allocations
 // exactly, per stage — the always-on baseline for the allocation-free
-// hot-path work. Engines assert their sink for it at construction (like
-// StageRecorder) and report only when an allocation actually happened
+// hot-path work. Core asserts the sink for it at construction (like
+// StageRecorder); engines report only when an allocation actually happened
 // (slice growth, new state object), so the disabled path costs one nil
 // check. Safe from any joiner goroutine: the counters behind it are
 // lock-free.
@@ -195,6 +197,8 @@ type Engine interface {
 	// Processed, Busy, and Effect counters are additionally safe to
 	// sample live (they are single-writer atomics).
 	Stats() *Stats
+	// Introspector exposes the live transport state to observers.
+	Introspector
 }
 
 // Resizer is implemented by engines that can retune their active joiner
@@ -216,9 +220,10 @@ type Resizer interface {
 	ActiveJoiners() int
 }
 
-// Introspector is implemented by engines that expose live transport state
-// for the observability layer. All methods are safe from any goroutine
-// while the engine runs — they read atomics published by the driver.
+// Introspector is the live transport state every engine exposes to the
+// observability layer (Core implements it once for all of them). All
+// methods are safe from any goroutine while the engine runs — they read
+// atomics published by the driver.
 type Introspector interface {
 	// QueueDepths returns the current depth of each joiner's input ring.
 	QueueDepths() []int

@@ -69,11 +69,9 @@ func (s *CollectSink) ByBaseSeq() map[uint64]tuple.Result {
 //
 // The base tuple's wall-clock arrival is not carried inside Result (results
 // may be emitted long after and by another joiner than the one that queued
-// the base tuple), so engines emitting to a LatencySink stamp the result
-// path themselves: Emit here is called with tuple.Result whose Arrival was
-// propagated by the engine via the pending-base records. To keep the Sink
-// interface minimal, LatencySink receives latency via EmitLatency from
-// engines; plain Emit just counts.
+// the base tuple), so the engine times the result itself: Core.Emit calls
+// Record with the latency of every base that carries an arrival stamp. To
+// keep the Sink interface minimal, plain Emit just counts.
 type LatencySink struct {
 	recs []*metrics.LatencyRecorder
 	n    atomic.Int64
@@ -115,8 +113,8 @@ func (s *LatencySink) CDF() metrics.CDF { return metrics.MergeCDF(s.recs...) }
 func (s *LatencySink) Count() int64 { return s.n.Load() }
 
 // LatencyRecorder is implemented by sinks that accept latency samples;
-// engines type-assert their Sink against it and call Record per result
-// when the base tuple carries an arrival stamp.
+// Core asserts the sink against it once and calls Record per result when
+// the base tuple carries an arrival stamp.
 type LatencyRecorder interface {
 	Record(joiner int, d time.Duration)
 }

@@ -45,6 +45,37 @@ type FS interface {
 	Truncate(name string, size int64) error
 }
 
+// WriteFileAtomic replaces name with data through fsys so that a reader
+// (or a restart after a crash) sees either the old file or the complete new
+// one: it removes any stale name+".tmp" left by an earlier crash (OpenAppend
+// appends, so a torn temp must not prefix the new bytes), writes data to a
+// fresh temp, syncs and closes it, and renames it over name. On failure
+// the temp is removed.
+func WriteFileAtomic(fsys FS, name string, data []byte) error {
+	tmp := name + ".tmp"
+	if err := fsys.Remove(tmp); err != nil {
+		return err
+	}
+	f, _, err := fsys.OpenAppend(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, name)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+	}
+	return err
+}
+
 // OS is the passthrough production implementation.
 type OS struct{}
 

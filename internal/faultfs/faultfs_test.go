@@ -182,3 +182,37 @@ func TestMemCorrupt(t *testing.T) {
 		t.Fatalf("corrupt: % x", b)
 	}
 }
+
+// TestWriteFileAtomic: a stale torn temp never prefixes the new bytes, the
+// result survives a power kill, and a failure at any step (remove stale
+// temp, write, sync, rename) leaves the old file intact and no temp behind
+// unless the stale temp itself could not be removed.
+func TestWriteFileAtomic(t *testing.T) {
+	m := NewMem()
+	m.Put("f", []byte("old"))
+	m.Put("f.tmp", []byte("TORN"))
+	if err := WriteFileAtomic(m, "f", []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	m.KillPower()
+	if got := string(m.Bytes("f")); got != "new" {
+		t.Fatalf("content after power kill %q, want %q", got, "new")
+	}
+	if len(m.Names()) != 1 {
+		t.Fatalf("files %v, want only f", m.Names())
+	}
+	for step := 1; step <= 4; step++ {
+		m := NewMem()
+		m.Put("f", []byte("old"))
+		m.FailAt(step)
+		if err := WriteFileAtomic(m, "f", []byte("new")); !errors.Is(err, ErrInjected) {
+			t.Fatalf("fail at op %d: want ErrInjected, got %v", step, err)
+		}
+		if got := string(m.Bytes("f")); got != "old" {
+			t.Fatalf("fail at op %d: content %q, want the old file", step, got)
+		}
+		if len(m.Names()) != 1 {
+			t.Fatalf("fail at op %d: files %v, want only f", step, m.Names())
+		}
+	}
+}

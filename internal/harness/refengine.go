@@ -4,6 +4,7 @@ import (
 	"oij/internal/engine"
 	"oij/internal/refjoin"
 	"oij/internal/tuple"
+	"oij/internal/watermark"
 )
 
 // refEngine adapts the refjoin oracle to the engine lifecycle so sweeps can
@@ -58,3 +59,18 @@ func (r *refEngine) Drain() {
 
 // Stats implements engine.Engine.
 func (r *refEngine) Stats() *engine.Stats { return r.stats }
+
+// QueueDepths implements engine.Introspector; the oracle has no rings, so
+// every depth is zero.
+func (r *refEngine) QueueDepths() []int { return make([]int, r.cfg.Joiners) }
+
+// Watermark implements engine.Introspector; the oracle never broadcasts
+// one.
+func (r *refEngine) Watermark() tuple.Time { return watermark.MinTime }
+
+// MaxEventTS implements engine.Introspector; the oracle tracks no event
+// time until Drain.
+func (r *refEngine) MaxEventTS() tuple.Time { return watermark.MinTime }
+
+// Stalls implements engine.Introspector; the oracle never blocks.
+func (r *refEngine) Stalls() engine.StallSnapshot { return engine.StallSnapshot{} }

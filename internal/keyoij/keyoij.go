@@ -18,43 +18,22 @@
 package keyoij
 
 import (
-	"sync/atomic"
-	"time"
-
-	"oij/internal/agg"
 	"oij/internal/engine"
-	"oij/internal/trace"
 	"oij/internal/tuple"
-	"oij/internal/watermark"
 )
 
 // Engine is the Key-OIJ implementation of engine.Engine.
 type Engine struct {
-	cfg   engine.Config
-	tr    *engine.Transport
-	sink  engine.Sink
-	lrec  engine.LatencyRecorder // non-nil if sink records latencies
-	srec  engine.StageRecorder   // non-nil if sink hands out trace spans
-	arec  engine.AllocRecorder   // non-nil if sink accounts allocations
-	stats *engine.Stats
-	js    []*joiner
+	engine.Core
+	js []*joiner
 }
 
 // New builds a Key-OIJ engine.
 func New(cfg engine.Config, sink engine.Sink) *Engine {
-	cfg = cfg.WithDefaults()
-	if cfg.Instrument {
-		// The breakdown's "other" category is total busy time minus
-		// lookup and match, so instrumented runs need busy tracking.
-		cfg.TrackBusy = true
-	}
-	e := &Engine{cfg: cfg, tr: engine.NewTransport(cfg), sink: sink, stats: engine.NewStats(cfg.Joiners)}
-	e.lrec, _ = sink.(engine.LatencyRecorder)
-	e.srec, _ = sink.(engine.StageRecorder)
-	e.arec, _ = sink.(engine.AllocRecorder)
-	e.js = make([]*joiner, cfg.Joiners)
+	e := &Engine{Core: engine.NewCore(cfg, sink)}
+	e.js = make([]*joiner, e.Cfg.Joiners)
 	for i := range e.js {
-		e.js[i] = newJoiner(e, i)
+		e.js[i] = &joiner{e: e, id: i, buffers: engine.KeyBuffers{}, ScanState: e.NewScanState()}
 	}
 	return e
 }
@@ -65,211 +44,79 @@ func (e *Engine) Name() string { return "key-oij" }
 // Start implements engine.Engine.
 func (e *Engine) Start() {
 	for i, j := range e.js {
-		var busy *atomic.Int64
-		if e.cfg.TrackBusy {
-			busy = &e.stats.Busy[i]
-		}
-		e.tr.Go(i, engine.JoinerHooks{OnTuple: j.onTuple, OnWatermark: j.onWatermark, Busy: busy})
+		e.StartJoiner(i, engine.JoinerHooks{OnTuple: j.onTuple, OnWatermark: j.onWatermark})
 	}
 }
 
 // Ingest implements engine.Engine: static key-hash routing.
 func (e *Engine) Ingest(t tuple.Tuple) {
-	e.tr.Observe(t.TS)
-	e.tr.Push(int(engine.HashKey(t.Key)%uint64(e.cfg.Joiners)), t)
+	e.Tr.Observe(t.TS)
+	e.Tr.Push(int(engine.HashKey(t.Key)%uint64(e.Cfg.Joiners)), t)
 }
-
-// Drain implements engine.Engine.
-func (e *Engine) Drain() {
-	e.tr.Finish()
-	var evicted int64
-	for _, j := range e.js {
-		evicted += j.evicted
-	}
-	e.stats.Evicted.Store(evicted)
-	if e.cfg.Instrument {
-		engine.FillOther(e.stats)
-	}
-}
-
-// Stats implements engine.Engine.
-func (e *Engine) Stats() *engine.Stats { return e.stats }
-
-// Heartbeat implements engine.Engine.
-func (e *Engine) Heartbeat() { e.tr.Heartbeat() }
-
-// QueueDepths implements engine.Introspector.
-func (e *Engine) QueueDepths() []int { return e.tr.QueueDepths() }
-
-// Watermark implements engine.Introspector.
-func (e *Engine) Watermark() tuple.Time { return e.tr.Watermark() }
-
-// MaxEventTS implements engine.Introspector.
-func (e *Engine) MaxEventTS() tuple.Time { return e.tr.MaxEventTS() }
-
-// Stalls implements engine.Introspector.
-func (e *Engine) Stalls() engine.StallSnapshot { return e.tr.Stalls() }
 
 // joiner is one Key-OIJ worker: per-key unsorted probe buffers plus, in
 // OnWatermark mode, a heap of base tuples awaiting window completion.
 type joiner struct {
-	e  *Engine
-	id int
-
-	buffers   map[tuple.Key][]tuple.Tuple
-	pending   engine.PendingHeap
-	wm        tuple.Time
-	lastSweep tuple.Time
-	evicted   int64
-	published int64 // evictions already mirrored into stats.Evicted
-	scratch   []engine.TSVal
-}
-
-func newJoiner(e *Engine, id int) *joiner {
-	return &joiner{e: e, id: id, buffers: make(map[tuple.Key][]tuple.Tuple), wm: watermark.MinTime, lastSweep: watermark.MinTime}
-}
-
-// evictBound returns the timestamp below which a probe tuple can no longer
-// match any base tuple the joiner may still process at watermark wm (see
-// package engine for the per-mode derivation).
-func (j *joiner) evictBound(wm tuple.Time) tuple.Time {
-	if wm == watermark.MinTime {
-		return watermark.MinTime
-	}
-	b := wm - j.e.cfg.Window.Pre
-	if j.e.cfg.Mode == engine.OnWatermark {
-		b -= j.e.cfg.Window.Fol
-	}
-	return b
+	e       *Engine
+	id      int
+	buffers engine.KeyBuffers
+	engine.ScanState
 }
 
 func (j *joiner) onTuple(t tuple.Tuple) {
-	j.e.stats.Processed[j.id].Add(1)
+	j.e.Stats().Processed[j.id].Add(1)
 	if t.Side == tuple.Probe {
-		buf := j.buffers[t.Key]
-		before := cap(buf)
-		buf = append(buf, t)
-		j.buffers[t.Key] = buf
-		engine.CountSliceGrowth(j.e.arec, trace.StageIngest, before, cap(buf), engine.TupleAllocBytes)
+		j.buffers.Append(t, j.e.Alloc)
 		return
 	}
-	if j.e.cfg.Mode == engine.OnWatermark {
-		j.pending.Push(t)
+	if j.e.Cfg.Mode == engine.OnWatermark {
+		j.Pending.Push(t)
 		return
 	}
 	j.join(t)
 }
 
-func (j *joiner) onWatermark(wm tuple.Time) {
-	// Equal watermarks are heartbeats: re-run finalization (the global
-	// minimum may have advanced) but skip stale (smaller) values.
-	if wm < j.wm {
-		return
-	}
-	j.wm = wm
-	if j.e.cfg.Mode == engine.OnWatermark {
-		// Finalize complete windows before evicting anything they need.
-		for {
-			b, ok := j.pending.PopIfBefore(wm - j.e.cfg.Window.Fol)
-			if !ok {
-				break
-			}
-			j.join(b)
-		}
-	}
-	// Periodic full sweep to reclaim idle keys' buffers; keys that see
-	// joins are compacted inline during scans.
-	horizon := j.e.cfg.Window.Len() + j.e.cfg.Window.Lateness
-	if j.lastSweep == watermark.MinTime || wm-j.lastSweep > horizon/2+1 {
-		j.lastSweep = wm
-		bound := j.evictBound(wm)
-		for k, buf := range j.buffers {
-			j.buffers[k] = j.compact(buf, bound)
-		}
-	}
-	// Mirror evictions into the shared counter at watermark cadence, so
-	// the serving layer's memory guard reads live buffered state without a
-	// per-tuple atomic on the join path.
-	if d := j.evicted - j.published; d > 0 {
-		j.published = j.evicted
-		j.e.stats.Evicted.Add(d)
-	}
-}
-
-// compact drops expired tuples from a buffer in place.
-func (j *joiner) compact(buf []tuple.Tuple, bound tuple.Time) []tuple.Tuple {
-	keep := buf[:0]
-	for _, t := range buf {
-		if t.TS >= bound {
-			keep = append(keep, t)
-		} else {
-			j.evicted++
-		}
-	}
-	return keep
-}
+func (j *joiner) onWatermark(wm tuple.Time) { j.Advance(wm, j.buffers, j.join) }
 
 // join performs the full-scan interval join for one base tuple: visit every
 // buffered tuple of the key, filter by the relative window, aggregate, and
 // emit. Expired tuples encountered during the scan are compacted away (the
 // scan already paid for visiting them).
 func (j *joiner) join(base tuple.Tuple) {
-	lo, hi := j.e.cfg.Window.Bounds(base.TS)
-	bound := j.evictBound(j.wm)
-	if j.e.cfg.Mode == engine.OnWatermark && base.TS-j.e.cfg.Window.Pre < bound {
+	lo, hi := j.e.Cfg.Window.Bounds(base.TS)
+	bound := j.EvictBound(j.WM)
+	if j.e.Cfg.Mode == engine.OnWatermark && base.TS-j.e.Cfg.Window.Pre < bound {
 		// Finalization pops pending bases in ascending timestamp order,
 		// so nothing below this base's own window start is needed again
 		// — but the watermark-derived bound can overshoot it while a
 		// batch of bases finalizes at one watermark. Clamp so the
 		// inline compaction never drops probes a later pending base
 		// (with a larger timestamp) still matches.
-		bound = base.TS - j.e.cfg.Window.Pre
+		bound = base.TS - j.e.Cfg.Window.Pre
 	}
 	buf := j.buffers[base.Key]
-	st := agg.NewState(j.e.cfg.Agg)
-	engine.CountStateAlloc(j.e.arec, trace.StageAggregate)
+	st := j.e.NewState()
+	sp := j.e.Dispatch(j.id, base)
 
-	var sp *trace.Span
-	if j.e.srec != nil {
-		sp = j.e.srec.SpanFor(base.Seq)
-	}
-	sp.StampDispatched(j.id)
-
-	if j.e.cfg.Instrument || sp != nil {
-		// Two-pass so lookup (filtering the full buffer) and match
-		// (folding in-window values) are timed separately, mirroring
-		// the paper's Fig. 6 categories. Sampled spans take the same
-		// path so probe and aggregate stages get distinct timings, but
-		// only instrumented runs write the shared breakdown stats.
-		t0 := time.Now()
-		scratchCap := cap(j.scratch)
-		j.scratch = j.scratch[:0]
-		keep := buf[:0]
-		for _, t := range buf {
-			if t.TS >= lo && t.TS <= hi {
-				j.scratch = append(j.scratch, engine.TSVal{TS: t.TS, Val: t.Val})
+	if j.e.Cfg.Instrument || sp != nil {
+		// Lookup filters the full buffer (compacting it as it goes);
+		// sampled spans take this path too so probe and aggregate stages
+		// get distinct timings.
+		j.e.JoinTimed(j.id, &st, sp, func(dst []engine.TSVal) ([]engine.TSVal, int) {
+			keep := buf[:0]
+			for _, t := range buf {
+				if t.TS >= lo && t.TS <= hi {
+					dst = append(dst, engine.TSVal{TS: t.TS, Val: t.Val})
+				}
+				if t.TS >= bound {
+					keep = append(keep, t)
+				} else {
+					j.Evicted++
+				}
 			}
-			if t.TS >= bound {
-				keep = append(keep, t)
-			} else {
-				j.evicted++
-			}
-		}
-		j.buffers[base.Key] = keep
-		engine.CountSliceGrowth(j.e.arec, trace.StageProbe, scratchCap, cap(j.scratch), engine.TSValAllocBytes)
-		t1 := time.Now()
-		for _, p := range j.scratch {
-			st.AddAt(p.TS, p.Val)
-		}
-		t2 := time.Now()
-		if j.e.cfg.Instrument {
-			bd := &j.e.stats.Breakdown[j.id]
-			bd.Lookup += t1.Sub(t0)
-			bd.Match += t2.Sub(t1)
-			j.e.stats.Effect[j.id].Observe(int64(len(j.scratch)), int64(len(buf)))
-		}
-		sp.Add(trace.StageProbe, t1.Sub(t0))
-		sp.Add(trace.StageAggregate, t2.Sub(t1))
+			j.buffers[base.Key] = keep
+			return dst, len(buf)
+		})
 	} else {
 		keep := buf[:0]
 		for _, t := range buf {
@@ -279,26 +126,11 @@ func (j *joiner) join(base tuple.Tuple) {
 			if t.TS >= bound {
 				keep = append(keep, t)
 			} else {
-				j.evicted++
+				j.Evicted++
 			}
 		}
 		j.buffers[base.Key] = keep
 	}
 
-	j.emit(base, st, sp)
-}
-
-func (j *joiner) emit(base tuple.Tuple, st agg.State, sp *trace.Span) {
-	sp.StampJoined()
-	j.e.stats.Results.Add(1)
-	j.e.sink.Emit(j.id, tuple.Result{
-		BaseTS:  base.TS,
-		Key:     base.Key,
-		BaseSeq: base.Seq,
-		Agg:     st.Value(),
-		Matches: st.Count(),
-	})
-	if j.e.lrec != nil && !base.Arrival.IsZero() {
-		j.e.lrec.Record(j.id, time.Since(base.Arrival))
-	}
+	j.e.Emit(j.id, base, &st, sp)
 }

@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"oij/internal/agg"
 	"oij/internal/engine"
 	"oij/internal/timetravel"
 	"oij/internal/trace"
@@ -29,13 +28,7 @@ import (
 // It always emits on arrival (request/serving semantics); OnWatermark mode
 // is not supported, mirroring OpenMLDB's lack of disorder handling.
 type Engine struct {
-	cfg   engine.Config
-	tr    *engine.Transport
-	sink  engine.Sink
-	lrec  engine.LatencyRecorder
-	srec  engine.StageRecorder
-	arec  engine.AllocRecorder
-	stats *engine.Stats
+	engine.Core
 
 	// mu guards table: one writer at a time, readers share. The paper's
 	// insertion bottleneck is exactly this serialization.
@@ -43,34 +36,22 @@ type Engine struct {
 	table    *timetravel.Index
 	lockWait atomic.Int64 // ns spent waiting for mu across workers
 
-	evicted   atomic.Int64
 	rr        int
-	lastSweep []tuple.Time
+	lastSweep tuple.Time // worker 0's newest sweep
 	wms       []tuple.Time
 }
 
 // New builds the baseline engine.
 func New(cfg engine.Config, sink engine.Sink) *Engine {
-	cfg = cfg.WithDefaults()
-	if cfg.Instrument {
-		cfg.TrackBusy = true
-	}
 	e := &Engine{
-		cfg:       cfg,
-		tr:        engine.NewTransport(cfg),
-		sink:      sink,
-		stats:     engine.NewStats(cfg.Joiners),
+		Core:      engine.NewCore(cfg, sink),
 		table:     timetravel.New(0xfeed),
-		lastSweep: make([]tuple.Time, cfg.Joiners),
-		wms:       make([]tuple.Time, cfg.Joiners),
+		lastSweep: watermark.MinTime,
 	}
-	for i := range e.lastSweep {
-		e.lastSweep[i] = watermark.MinTime
+	e.wms = make([]tuple.Time, e.Cfg.Joiners)
+	for i := range e.wms {
 		e.wms[i] = watermark.MinTime
 	}
-	e.lrec, _ = sink.(engine.LatencyRecorder)
-	e.srec, _ = sink.(engine.StageRecorder)
-	e.arec, _ = sink.(engine.AllocRecorder)
 	return e
 }
 
@@ -79,16 +60,11 @@ func (e *Engine) Name() string { return "openmldb" }
 
 // Start implements engine.Engine.
 func (e *Engine) Start() {
-	for i := 0; i < e.cfg.Joiners; i++ {
+	for i := 0; i < e.Cfg.Joiners; i++ {
 		i := i
-		var busy *atomic.Int64
-		if e.cfg.TrackBusy {
-			busy = &e.stats.Busy[i]
-		}
-		e.tr.Go(i, engine.JoinerHooks{
+		e.StartJoiner(i, engine.JoinerHooks{
 			OnTuple:     func(t tuple.Tuple) { e.work(i, t) },
 			OnWatermark: func(wm tuple.Time) { e.watermark(i, wm) },
-			Busy:        busy,
 		})
 	}
 }
@@ -96,50 +72,28 @@ func (e *Engine) Start() {
 // Ingest implements engine.Engine: round-robin across workers — with a
 // single shared table there is no data ownership to partition by.
 func (e *Engine) Ingest(t tuple.Tuple) {
-	e.tr.Observe(t.TS)
-	e.tr.Push(e.rr, t)
-	e.rr = (e.rr + 1) % e.cfg.Joiners
+	e.Tr.Observe(t.TS)
+	e.Tr.Push(e.rr, t)
+	e.rr = (e.rr + 1) % e.Cfg.Joiners
 }
 
 // Drain implements engine.Engine.
 func (e *Engine) Drain() {
-	e.tr.Finish()
-	e.stats.Evicted.Store(e.evicted.Load())
-	e.stats.Extra["lock_wait_ns"] = e.lockWait.Load()
-	if e.cfg.Instrument {
-		engine.FillOther(e.stats)
-	}
+	e.Core.Drain()
+	e.Stats().Extra["lock_wait_ns"] = e.lockWait.Load()
 }
 
-// Stats implements engine.Engine.
-func (e *Engine) Stats() *engine.Stats { return e.stats }
-
-// Heartbeat implements engine.Engine.
-func (e *Engine) Heartbeat() { e.tr.Heartbeat() }
-
-// QueueDepths implements engine.Introspector.
-func (e *Engine) QueueDepths() []int { return e.tr.QueueDepths() }
-
-// Watermark implements engine.Introspector.
-func (e *Engine) Watermark() tuple.Time { return e.tr.Watermark() }
-
-// MaxEventTS implements engine.Introspector.
-func (e *Engine) MaxEventTS() tuple.Time { return e.tr.MaxEventTS() }
-
-// Stalls implements engine.Introspector.
-func (e *Engine) Stalls() engine.StallSnapshot { return e.tr.Stalls() }
-
 func (e *Engine) work(id int, t tuple.Tuple) {
-	e.stats.Processed[id].Add(1)
+	e.Stats().Processed[id].Add(1)
 	if t.Side == tuple.Probe {
 		w0 := time.Now()
 		e.mu.Lock()
 		e.lockWait.Add(int64(time.Since(w0)))
 		e.table.Put(t)
 		e.mu.Unlock()
-		if e.arec != nil {
+		if e.Alloc != nil {
 			// Every Put allocates one index node holding the tuple.
-			e.arec.CountAlloc(trace.StageIngest, 1, engine.TupleAllocBytes)
+			e.Alloc.CountAlloc(trace.StageIngest, 1, engine.TupleAllocBytes)
 		}
 		return
 	}
@@ -147,43 +101,22 @@ func (e *Engine) work(id int, t tuple.Tuple) {
 }
 
 func (e *Engine) join(id int, base tuple.Tuple) {
-	lo, hi := e.cfg.Window.Bounds(base.TS)
-	st := agg.NewState(e.cfg.Agg)
-	engine.CountStateAlloc(e.arec, trace.StageAggregate)
-
-	var sp *trace.Span
-	if e.srec != nil {
-		sp = e.srec.SpanFor(base.Seq)
-	}
-	sp.StampDispatched(id)
+	lo, hi := e.Cfg.Window.Bounds(base.TS)
+	st := e.NewState()
+	sp := e.Dispatch(id, base)
 
 	w0 := time.Now()
 	e.mu.RLock()
 	waited := time.Since(w0)
-	if e.cfg.Instrument || sp != nil {
-		t0 := time.Now()
-		scratch := make([]engine.TSVal, 0, 64)
-		engine.CountSliceGrowth(e.arec, trace.StageProbe, 0, cap(scratch), engine.TSValAllocBytes)
-		visited := e.table.ScanWindow(base.Key, lo, hi, func(ts tuple.Time, val float64) bool {
-			before := cap(scratch)
-			scratch = append(scratch, engine.TSVal{TS: ts, Val: val})
-			engine.CountSliceGrowth(e.arec, trace.StageProbe, before, cap(scratch), engine.TSValAllocBytes)
-			return true
+	if e.Cfg.Instrument || sp != nil {
+		e.JoinTimed(id, &st, sp, func(dst []engine.TSVal) ([]engine.TSVal, int) {
+			visited := e.table.ScanWindow(base.Key, lo, hi, func(ts tuple.Time, val float64) bool {
+				dst = append(dst, engine.TSVal{TS: ts, Val: val})
+				return true
+			})
+			e.mu.RUnlock()
+			return dst, visited
 		})
-		e.mu.RUnlock()
-		t1 := time.Now()
-		for _, p := range scratch {
-			st.AddAt(p.TS, p.Val)
-		}
-		t2 := time.Now()
-		if e.cfg.Instrument {
-			bd := &e.stats.Breakdown[id]
-			bd.Lookup += t1.Sub(t0)
-			bd.Match += t2.Sub(t1)
-			e.stats.Effect[id].Observe(int64(len(scratch)), int64(visited))
-		}
-		sp.Add(trace.StageProbe, t1.Sub(t0))
-		sp.Add(trace.StageAggregate, t2.Sub(t1))
 	} else {
 		e.table.ScanWindow(base.Key, lo, hi, func(ts tuple.Time, val float64) bool {
 			st.AddAt(ts, val)
@@ -193,18 +126,7 @@ func (e *Engine) join(id int, base tuple.Tuple) {
 	}
 	e.lockWait.Add(int64(waited))
 
-	sp.StampJoined()
-	e.stats.Results.Add(1)
-	e.sink.Emit(id, tuple.Result{
-		BaseTS:  base.TS,
-		Key:     base.Key,
-		BaseSeq: base.Seq,
-		Agg:     st.Value(),
-		Matches: st.Count(),
-	})
-	if e.lrec != nil && !base.Arrival.IsZero() {
-		e.lrec.Record(id, time.Since(base.Arrival))
-	}
+	e.Emit(id, base, &st, sp)
 }
 
 // watermark triggers eviction: retention is the window only — no lateness
@@ -220,20 +142,19 @@ func (e *Engine) watermark(id int, wm tuple.Time) {
 	}
 	// Undo the driver's lateness subtraction: this engine evicts by
 	// observed max event time, pretending streams are ordered.
-	maxTS := wm + e.cfg.Window.Lateness
-	horizon := e.cfg.Window.Len()
-	if e.lastSweep[0] != watermark.MinTime && maxTS-e.lastSweep[0] <= horizon/2+1 {
+	maxTS := wm + e.Cfg.Window.Lateness
+	horizon := e.Cfg.Window.Len()
+	if e.lastSweep != watermark.MinTime && maxTS-e.lastSweep <= horizon/2+1 {
 		return
 	}
-	e.lastSweep[0] = maxTS
+	e.lastSweep = maxTS
 	w0 := time.Now()
 	e.mu.Lock()
 	e.lockWait.Add(int64(time.Since(w0)))
-	if n := int64(e.table.EvictBefore(maxTS - e.cfg.Window.Pre - e.cfg.Window.Fol)); n > 0 {
-		e.evicted.Add(n)
+	if n := int64(e.table.EvictBefore(maxTS - e.Cfg.Window.Pre - e.Cfg.Window.Fol)); n > 0 {
 		// Mirror live for the serving layer's memory guard; sweeps are
 		// amortized to half the retention horizon.
-		e.stats.Evicted.Add(n)
+		e.Stats().Evicted.Add(n)
 	}
 	e.mu.Unlock()
 }

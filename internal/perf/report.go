@@ -6,6 +6,8 @@ import (
 	"os"
 	"runtime"
 	"time"
+
+	"oij/internal/faultfs"
 )
 
 // SchemaVersion is the BENCH_*.json report schema version this build
@@ -153,11 +155,10 @@ func (r *Report) WriteFile(path string) error {
 		return fmt.Errorf("perf: encoding report: %w", err)
 	}
 	data = append(data, '\n')
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := faultfs.WriteFileAtomic(faultfs.OS{}, path, data); err != nil {
 		return fmt.Errorf("perf: writing report: %w", err)
 	}
-	return os.Rename(tmp, path)
+	return nil
 }
 
 // ReadReport loads and validates a BENCH_*.json report.

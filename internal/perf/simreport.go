@@ -6,6 +6,7 @@ import (
 	"os"
 	"time"
 
+	"oij/internal/faultfs"
 	"oij/internal/workload/pattern"
 )
 
@@ -132,11 +133,10 @@ func (r *SimReport) WriteFile(path string) error {
 		return fmt.Errorf("perf: encoding sim report: %w", err)
 	}
 	data = append(data, '\n')
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := faultfs.WriteFileAtomic(faultfs.OS{}, path, data); err != nil {
 		return fmt.Errorf("perf: writing sim report: %w", err)
 	}
-	return os.Rename(tmp, path)
+	return nil
 }
 
 // ReadSimReport loads and version-checks a SIM_*.json report.

@@ -401,7 +401,7 @@ func (c *Capturer) store(kind, reason string, data []byte, sliceNS int64) {
 	seq := c.nextSeq
 	c.nextSeq++
 	name := entryFile(seq, kind, reason)
-	if err := c.writeFile(name, data); err != nil {
+	if err := faultfs.WriteFileAtomic(c.cfg.FS, filepath.Join(c.cfg.Dir, name), data); err != nil {
 		c.errs.Add(1)
 		return
 	}
@@ -440,55 +440,13 @@ func (c *Capturer) evictLocked() {
 	}
 }
 
-// writeFile lands data at name via temp+rename through the fault seam.
-func (c *Capturer) writeFile(name string, data []byte) error {
-	path := filepath.Join(c.cfg.Dir, name)
-	tmp := path + ".tmp"
-	f, _, err := c.cfg.FS.OpenAppend(tmp)
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write(data)
-	cerr := f.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		c.cfg.FS.Remove(tmp)
-		return werr
-	}
-	if err := c.cfg.FS.Rename(tmp, path); err != nil {
-		c.cfg.FS.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
 func (c *Capturer) saveManifestLocked() error {
 	doc := manifestDoc{NextSeq: c.nextSeq, Entries: c.entries}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(c.cfg.Dir, manifestName)
-	tmp := path + ".tmp"
-	// A fresh temp file every time: OpenAppend appends, so a leftover torn
-	// temp must not prefix the new manifest.
-	c.cfg.FS.Remove(tmp)
-	f, _, err := c.cfg.FS.OpenAppend(tmp)
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write(data)
-	cerr := f.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		c.cfg.FS.Remove(tmp)
-		return werr
-	}
-	return c.cfg.FS.Rename(tmp, path)
+	return faultfs.WriteFileAtomic(c.cfg.FS, filepath.Join(c.cfg.Dir, manifestName), data)
 }
 
 // loadManifest restores ring state at startup. A missing manifest is a

@@ -157,6 +157,32 @@ func TestManifestRecoveryAfterTornWrite(t *testing.T) {
 	}
 }
 
+// TestTornTempProfileReplaced crashes a capture mid-write, leaving a torn
+// temp file for the sequence number the manifest hands out next, and
+// checks the next capture replaces the torn bytes instead of appending to
+// them.
+func TestTornTempProfileReplaced(t *testing.T) {
+	mem := faultfs.NewMem()
+	c := newTestCapturer(t, mem, nil)
+	c.store("heap", "periodic", []byte("first"), 0)
+	c.Close()
+	mem.Put("ring/000001-heap-periodic.pprof.tmp", []byte("TORN"))
+
+	c2 := newTestCapturer(t, mem, nil)
+	c2.store("heap", "periodic", []byte("fresh-profile"), 0)
+	entries := c2.Entries()
+	if len(entries) != 2 || entries[1].File != "000001-heap-periodic.pprof" {
+		t.Fatalf("entries after restart: %+v", entries)
+	}
+	got := string(mem.Bytes("ring/000001-heap-periodic.pprof"))
+	if got != "fresh-profile" || entries[1].Bytes != int64(len(got)) {
+		t.Fatalf("stored %q, manifest says %d bytes; want %q", got, entries[1].Bytes, "fresh-profile")
+	}
+	if names := mem.Names(); strings.Contains(strings.Join(names, " "), ".tmp") {
+		t.Fatalf("temp file left behind: %v", names)
+	}
+}
+
 func TestManifestMissingIsFreshRing(t *testing.T) {
 	c := newTestCapturer(t, faultfs.NewMem(), nil)
 	if len(c.Entries()) != 0 || c.Stats().Recovered != 0 {

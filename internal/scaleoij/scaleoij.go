@@ -19,7 +19,6 @@ import (
 	"math/bits"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"oij/internal/agg"
 	"oij/internal/engine"
@@ -73,15 +72,9 @@ func (o Options) withDefaults() Options {
 
 // Engine is the Scale-OIJ implementation of engine.Engine.
 type Engine struct {
-	cfg   engine.Config
-	opt   Options
-	tr    *engine.Transport
-	sink  engine.Sink
-	lrec  engine.LatencyRecorder
-	srec  engine.StageRecorder
-	arec  engine.AllocRecorder
-	stats *engine.Stats
-	js    []*joiner
+	engine.Core
+	opt Options
+	js  []*joiner
 
 	// Driver-side scheduling state.
 	schedule  *sched.Schedule
@@ -111,10 +104,8 @@ type Engine struct {
 // New builds a Scale-OIJ engine. It panics if cfg.Joiners exceeds
 // sched.MaxJoiners (the read-set mask width).
 func New(cfg engine.Config, opt Options, sink engine.Sink) *Engine {
-	cfg = cfg.WithDefaults()
-	if cfg.Instrument {
-		cfg.TrackBusy = true
-	}
+	core := engine.NewCore(cfg, sink)
+	cfg = core.Cfg
 	opt = opt.withDefaults()
 	bal, err := sched.NewBalancer(opt.Sched, cfg.Joiners)
 	if err != nil {
@@ -122,11 +113,8 @@ func New(cfg engine.Config, opt Options, sink engine.Sink) *Engine {
 	}
 	p := bal.Partitions()
 	e := &Engine{
-		cfg:       cfg,
+		Core:      core,
 		opt:       opt,
-		tr:        engine.NewTransport(cfg),
-		sink:      sink,
-		stats:     engine.NewStats(cfg.Joiners),
 		schedule:  sched.NewStatic(p, cfg.Joiners),
 		bal:       bal,
 		masks:     make([]atomic.Uint64, p),
@@ -136,9 +124,6 @@ func New(cfg engine.Config, opt Options, sink engine.Sink) *Engine {
 	}
 	e.active = cfg.Joiners
 	e.pubActive.Store(int32(cfg.Joiners))
-	e.lrec, _ = sink.(engine.LatencyRecorder)
-	e.srec, _ = sink.(engine.StageRecorder)
-	e.arec, _ = sink.(engine.AllocRecorder)
 	for i := range e.lastWrite {
 		e.lastWrite[i] = make([]tuple.Time, cfg.Joiners)
 		e.masks[i].Store(1 << uint(i%cfg.Joiners))
@@ -156,15 +141,11 @@ func (e *Engine) Name() string { return "scale-oij" }
 // Start implements engine.Engine.
 func (e *Engine) Start() {
 	for i, j := range e.js {
-		var busy *atomic.Int64
-		if e.cfg.TrackBusy {
-			busy = &e.stats.Busy[i]
-		}
-		hooks := engine.JoinerHooks{OnTuple: j.onTuple, OnWatermark: j.onWatermark, Busy: busy}
-		if e.cfg.Mode == engine.OnWatermark {
+		hooks := engine.JoinerHooks{OnTuple: j.onTuple, OnWatermark: j.onWatermark}
+		if e.Cfg.Mode == engine.OnWatermark {
 			hooks.OnDrained = j.onDrained
 		}
-		e.tr.Go(i, hooks)
+		e.StartJoiner(i, hooks)
 	}
 }
 
@@ -176,7 +157,7 @@ func (e *Engine) partition(k tuple.Key) int {
 // Ingest implements engine.Engine: route by the current schedule, keep the
 // read-set mask and balancer statistics, and periodically rebalance.
 func (e *Engine) Ingest(t tuple.Tuple) {
-	e.tr.Observe(t.TS)
+	e.Tr.Observe(t.TS)
 	p := e.partition(t.Key)
 	j := e.schedule.Route(p)
 
@@ -190,7 +171,7 @@ func (e *Engine) Ingest(t tuple.Tuple) {
 	}
 	e.bal.Counts[p]++
 
-	e.tr.Push(j, t)
+	e.Tr.Push(j, t)
 
 	if e.opt.DynamicSchedule {
 		e.sinceBal++
@@ -209,12 +190,12 @@ func (e *Engine) rebalance(nowTS tuple.Time) {
 	}
 	// A joiner that stopped receiving partition p keeps its mask bit
 	// until everything it buffered for p is evictable everywhere.
-	w := e.cfg.Window
+	w := e.Cfg.Window
 	retention := w.Len() + w.Lateness + w.Len() // eviction slack upper bound
 	for p := range e.masks {
 		m := e.masks[p].Load()
 		nm := m
-		for j := 0; j < e.cfg.Joiners; j++ {
+		for j := 0; j < e.Cfg.Joiners; j++ {
 			bit := uint64(1) << uint(j)
 			if m&bit == 0 || e.schedule.TeamMask(p)&bit != 0 {
 				continue
@@ -231,39 +212,13 @@ func (e *Engine) rebalance(nowTS tuple.Time) {
 
 // Drain implements engine.Engine.
 func (e *Engine) Drain() {
-	e.tr.Finish()
-	var evicted int64
-	for _, j := range e.js {
-		evicted += j.evicted
-	}
-	e.stats.Evicted.Store(evicted)
-	e.stats.Extra["reschedules"] = e.bal.Reschedules.Load()
+	e.Core.Drain()
+	e.Stats().Extra["reschedules"] = e.bal.Reschedules.Load()
 	if e.opt.Sched.Topology != nil {
-		share := sched.CrossNodeShare(e.schedule, e.bal.Counts, e.opt.Sched.Topology, e.cfg.Joiners)
-		e.stats.Extra["cross_node_permille"] = int64(1000 * share)
-	}
-	if e.cfg.Instrument {
-		engine.FillOther(e.stats)
+		share := sched.CrossNodeShare(e.schedule, e.bal.Counts, e.opt.Sched.Topology, e.Cfg.Joiners)
+		e.Stats().Extra["cross_node_permille"] = int64(1000 * share)
 	}
 }
-
-// Stats implements engine.Engine.
-func (e *Engine) Stats() *engine.Stats { return e.stats }
-
-// Heartbeat implements engine.Engine.
-func (e *Engine) Heartbeat() { e.tr.Heartbeat() }
-
-// QueueDepths implements engine.Introspector.
-func (e *Engine) QueueDepths() []int { return e.tr.QueueDepths() }
-
-// Watermark implements engine.Introspector.
-func (e *Engine) Watermark() tuple.Time { return e.tr.Watermark() }
-
-// MaxEventTS implements engine.Introspector.
-func (e *Engine) MaxEventTS() tuple.Time { return e.tr.MaxEventTS() }
-
-// Stalls implements engine.Introspector.
-func (e *Engine) Stalls() engine.StallSnapshot { return e.tr.Stalls() }
 
 // Reschedules reports accepted dynamic-schedule changes so far; safe to
 // read live.
@@ -287,8 +242,8 @@ func (e *Engine) Resize(n int) bool {
 	if n < 1 {
 		n = 1
 	}
-	if n > e.cfg.Joiners {
-		n = e.cfg.Joiners
+	if n > e.Cfg.Joiners {
+		n = e.Cfg.Joiners
 	}
 	if n == e.active {
 		return true
@@ -333,9 +288,7 @@ type joiner struct {
 	pending   engine.PendingHeap
 	wm        tuple.Time // newest in-band watermark seen
 	lastSweep tuple.Time
-	evicted   int64
 	inc       map[tuple.Key]*incEntry
-	scratch   []tsval
 	pairs     []tsval
 }
 
@@ -357,14 +310,14 @@ func newJoiner(e *Engine, id int) *joiner {
 }
 
 func (j *joiner) onTuple(t tuple.Tuple) {
-	j.e.stats.Processed[j.id].Add(1)
+	j.e.Stats().Processed[j.id].Add(1)
 	if t.Side == tuple.Probe {
 		j.ix.Put(t)
-		if j.e.arec != nil {
+		if j.e.Alloc != nil {
 			// Every Put allocates one time-travel index node.
-			j.e.arec.CountAlloc(trace.StageIngest, 1, engine.TupleAllocBytes)
+			j.e.Alloc.CountAlloc(trace.StageIngest, 1, engine.TupleAllocBytes)
 		}
-		if j.e.opt.Incremental && j.e.cfg.Mode == engine.OnArrival {
+		if j.e.opt.Incremental && j.e.Cfg.Mode == engine.OnArrival {
 			// A late probe landing inside this joiner's cached window
 			// would be missed by the edge-delta scans, so fold it into
 			// the cached aggregate directly — the entry then stays
@@ -386,7 +339,7 @@ func (j *joiner) onTuple(t tuple.Tuple) {
 					// buffer, folded at query time.
 					before := cap(e.late)
 					e.late = append(e.late, tsval{t.TS, t.Val})
-					engine.CountSliceGrowth(j.e.arec, trace.StageIngest, before, cap(e.late), engine.TSValAllocBytes)
+					engine.CountSliceGrowth(j.e.Alloc, trace.StageIngest, before, cap(e.late), engine.TSValAllocBytes)
 				default:
 					e.mask = 0 // too many stragglers: rebuild
 				}
@@ -394,7 +347,7 @@ func (j *joiner) onTuple(t tuple.Tuple) {
 		}
 		return
 	}
-	if j.e.cfg.Mode == engine.OnWatermark {
+	if j.e.Cfg.Mode == engine.OnWatermark {
 		j.pending.Push(t)
 		return
 	}
@@ -408,7 +361,7 @@ func (j *joiner) onWatermark(wm tuple.Time) {
 		return
 	}
 	j.wm = wm
-	if j.e.cfg.Mode == engine.OnWatermark {
+	if j.e.Cfg.Mode == engine.OnWatermark {
 		// Publish progress first (a peer may be waiting on us), then
 		// finalize everything complete under the finalize gate, then
 		// advertise how far we have finalized — eviction is gated on
@@ -451,7 +404,7 @@ func (j *joiner) finalize(gwm tuple.Time) {
 		return
 	}
 	for {
-		b, ok := j.pending.PopIfBefore(gwm - j.e.cfg.Window.Fol)
+		b, ok := j.pending.PopIfBefore(gwm - j.e.Cfg.Window.Fol)
 		if !ok {
 			return
 		}
@@ -469,7 +422,7 @@ func (j *joiner) evictWM() tuple.Time {
 	if !j.e.opt.SharedProcessing {
 		return j.wm
 	}
-	if j.e.cfg.Mode == engine.OnWatermark {
+	if j.e.Cfg.Mode == engine.OnWatermark {
 		return j.e.finalized.Global()
 	}
 	return j.e.processed.Global()
@@ -484,12 +437,12 @@ func (j *joiner) evictBound(wm tuple.Time) tuple.Time {
 	if wm == watermark.MinTime {
 		return watermark.MinTime
 	}
-	b := wm - j.e.cfg.Window.Pre
-	if j.e.cfg.Mode == engine.OnWatermark {
-		b -= j.e.cfg.Window.Fol
+	b := wm - j.e.Cfg.Window.Pre
+	if j.e.Cfg.Mode == engine.OnWatermark {
+		b -= j.e.Cfg.Window.Fol
 	}
 	if j.e.opt.Incremental {
-		b -= j.e.cfg.Window.Len()
+		b -= j.e.Cfg.Window.Len()
 	}
 	return b
 }
@@ -497,7 +450,7 @@ func (j *joiner) evictBound(wm tuple.Time) tuple.Time {
 // maybeSweep evicts expired probes from the joiner's own index at most
 // every half retention horizon.
 func (j *joiner) maybeSweep(wm tuple.Time) {
-	horizon := j.e.cfg.Window.Len() + j.e.cfg.Window.Lateness
+	horizon := j.e.Cfg.Window.Len() + j.e.Cfg.Window.Lateness
 	if j.lastSweep != watermark.MinTime && wm-j.lastSweep <= horizon/2+1 {
 		return
 	}
@@ -505,11 +458,10 @@ func (j *joiner) maybeSweep(wm tuple.Time) {
 	gate := j.evictWM()
 	if bound := j.evictBound(gate); bound != watermark.MinTime {
 		if n := int64(j.ix.EvictBefore(bound)); n > 0 {
-			j.evicted += n
 			// Mirror live so the serving layer's memory guard can read
 			// buffered state without waiting for Drain; sweeps are
 			// amortized, so the shared atomic sees one add per sweep.
-			j.e.stats.Evicted.Add(n)
+			j.e.Stats().Evicted.Add(n)
 		}
 	}
 }
@@ -537,14 +489,10 @@ func (j *joiner) scanTeam(mask uint64, k tuple.Key, lo, hi tuple.Time, fn func(t
 
 // join computes one base tuple's window aggregate and emits the result.
 func (j *joiner) join(base tuple.Tuple) {
-	lo, hi := j.e.cfg.Window.Bounds(base.TS)
+	lo, hi := j.e.Cfg.Window.Bounds(base.TS)
 	mask := j.readMask(base.Key)
 
-	var sp *trace.Span
-	if j.e.srec != nil {
-		sp = j.e.srec.SpanFor(base.Seq)
-	}
-	sp.StampDispatched(j.id)
+	sp := j.e.Dispatch(j.id, base)
 
 	var st agg.State
 	switch {
@@ -555,42 +503,27 @@ func (j *joiner) join(base tuple.Tuple) {
 		// and mask, so the next untraced base simply slides from the
 		// cached window as if this one had never happened.
 		st = j.joinFull(base.Key, mask, lo, hi, sp)
-	case j.e.opt.Incremental && j.e.cfg.Agg.Invertible():
+	case j.e.opt.Incremental && j.e.Cfg.Agg.Invertible():
 		st = j.joinIncremental(base, mask, lo, hi)
 	case j.e.opt.Incremental:
 		st = j.joinSliding(base, mask, lo, hi)
 	default:
 		st = j.joinFull(base.Key, mask, lo, hi, nil)
 	}
-	j.emit(base, st, sp)
+	j.e.Emit(j.id, base, &st, sp)
 }
 
 // joinFull recomputes the aggregate from scratch over the window.
 func (j *joiner) joinFull(k tuple.Key, mask uint64, lo, hi tuple.Time, sp *trace.Span) agg.State {
-	st := agg.NewState(j.e.cfg.Agg)
-	engine.CountStateAlloc(j.e.arec, trace.StageAggregate)
-	if j.e.cfg.Instrument || sp != nil {
-		t0 := time.Now()
-		scratchCap := cap(j.scratch)
-		j.scratch = j.scratch[:0]
-		visited := j.scanTeam(mask, k, lo, hi, func(ts tuple.Time, val float64) bool {
-			j.scratch = append(j.scratch, tsval{ts, val})
-			return true
+	st := j.e.NewState()
+	if j.e.Cfg.Instrument || sp != nil {
+		j.e.JoinTimed(j.id, &st, sp, func(dst []engine.TSVal) ([]engine.TSVal, int) {
+			visited := j.scanTeam(mask, k, lo, hi, func(ts tuple.Time, val float64) bool {
+				dst = append(dst, engine.TSVal{TS: ts, Val: val})
+				return true
+			})
+			return dst, visited
 		})
-		engine.CountSliceGrowth(j.e.arec, trace.StageProbe, scratchCap, cap(j.scratch), engine.TSValAllocBytes)
-		t1 := time.Now()
-		for _, p := range j.scratch {
-			st.AddAt(p.ts, p.val)
-		}
-		t2 := time.Now()
-		if j.e.cfg.Instrument {
-			bd := &j.e.stats.Breakdown[j.id]
-			bd.Lookup += t1.Sub(t0)
-			bd.Match += t2.Sub(t1)
-			j.e.stats.Effect[j.id].Observe(int64(len(j.scratch)), int64(visited))
-		}
-		sp.Add(trace.StageProbe, t1.Sub(t0))
-		sp.Add(trace.StageAggregate, t2.Sub(t1))
 		return st
 	}
 	j.scanTeam(mask, k, lo, hi, func(ts tuple.Time, val float64) bool {
@@ -647,11 +580,11 @@ func (j *joiner) joinIncremental(base tuple.Tuple, mask uint64, lo, hi tuple.Tim
 		})
 	}
 	entry.lo, entry.hi = lo, hi
-	if j.e.cfg.Instrument {
+	if j.e.Cfg.Instrument {
 		// Incremental scans only touch in-window edges; effectiveness
 		// stays 1 by construction, so record the join as fully
 		// effective.
-		j.e.stats.Effect[j.id].Observe(1, 1)
+		j.e.Stats().Effect[j.id].Observe(1, 1)
 	}
 	return entry.st
 }
@@ -674,7 +607,7 @@ func (j *joiner) joinSliding(base tuple.Tuple, mask uint64, lo, hi tuple.Time) a
 			j.inc[base.Key] = entry
 		}
 		if entry.slide == nil {
-			entry.slide = agg.NewSliding(j.e.cfg.Agg)
+			entry.slide = agg.NewSliding(j.e.Cfg.Agg)
 		} else {
 			entry.slide.Reset()
 		}
@@ -722,7 +655,7 @@ func (j *joiner) pushSorted(s *agg.Sliding, mask uint64, k tuple.Key, lo, hi tup
 		j.pairs = append(j.pairs, tsval{ts, val})
 		return true
 	})
-	engine.CountSliceGrowth(j.e.arec, trace.StageProbe, pairsCap, cap(j.pairs), engine.TSValAllocBytes)
+	engine.CountSliceGrowth(j.e.Alloc, trace.StageProbe, pairsCap, cap(j.pairs), engine.TSValAllocBytes)
 	for i := 1; i < len(j.pairs); i++ {
 		p := j.pairs[i]
 		q := i - 1
@@ -737,24 +670,9 @@ func (j *joiner) pushSorted(s *agg.Sliding, mask uint64, k tuple.Key, lo, hi tup
 	}
 }
 
-func (j *joiner) emit(base tuple.Tuple, st agg.State, sp *trace.Span) {
-	sp.StampJoined()
-	j.e.stats.Results.Add(1)
-	j.e.sink.Emit(j.id, tuple.Result{
-		BaseTS:  base.TS,
-		Key:     base.Key,
-		BaseSeq: base.Seq,
-		Agg:     st.Value(),
-		Matches: st.Count(),
-	})
-	if j.e.lrec != nil && !base.Arrival.IsZero() {
-		j.e.lrec.Record(j.id, time.Since(base.Arrival))
-	}
-}
-
 // CrossNodeShareAgainst evaluates the engine's final schedule against a
 // hypothetical NUMA topology (experimentation helper: it quantifies the
 // remote reads a topology-blind schedule would cause). Call after Drain.
 func (e *Engine) CrossNodeShareAgainst(topology []int) float64 {
-	return sched.CrossNodeShare(e.schedule, e.bal.Counts, topology, e.cfg.Joiners)
+	return sched.CrossNodeShare(e.schedule, e.bal.Counts, topology, e.Cfg.Joiners)
 }

@@ -16,15 +16,14 @@ import (
 	"time"
 
 	"oij/internal/control"
-	"oij/internal/engine"
 	"oij/internal/metrics"
 )
 
 // activeJoiners returns the engine's live active joiner count (the routing
 // target set), or the full pool for engines without a resize path.
 func (s *Server) activeJoiners() int {
-	if rz, ok := s.eng.(engine.Resizer); ok {
-		return rz.ActiveJoiners()
+	if s.rz != nil {
+		return s.rz.ActiveJoiners()
 	}
 	return s.cfg.Engine.Joiners
 }

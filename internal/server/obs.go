@@ -107,21 +107,10 @@ func (k serverSink) CountAlloc(st trace.Stage, objs, bytes int64) {
 	k.s.o.countAlloc(st, objs, bytes)
 }
 
-// introspect returns the engine's live transport view, or nil when the
-// engine predates the Introspector interface.
-func (s *Server) introspect() engine.Introspector {
-	in, _ := s.eng.(engine.Introspector)
-	return in
-}
-
 // watermarkLag returns (maxEventTS, watermark, lag) in event-time µs,
 // zeros before the first tuple.
 func (s *Server) watermarkLag() (maxTS, wm, lag int64) {
-	in := s.introspect()
-	if in == nil {
-		return 0, 0, 0
-	}
-	m, w := in.MaxEventTS(), in.Watermark()
+	m, w := s.eng.MaxEventTS(), s.eng.Watermark()
 	if m == watermark.MinTime {
 		return 0, 0, 0
 	}
@@ -228,16 +217,10 @@ func newServerObs(s *Server, joiners int) *serverObs {
 		return float64(s.memLevel.Load())
 	})
 	reg.NewGaugeFunc("oij_transport_stall_parks_total", "Driver parks while waiting for joiner ring space.", func() float64 {
-		if in := s.introspect(); in != nil {
-			return float64(in.Stalls().Parks)
-		}
-		return 0
+		return float64(s.eng.Stalls().Parks)
 	})
 	reg.NewGaugeFunc("oij_stalled_joiners", "Joiners whose input ring has blocked the driver past the stall threshold.", func() float64 {
-		if in := s.introspect(); in != nil {
-			return float64(len(in.Stalls().Wedged(s.cfg.StallThreshold)))
-		}
-		return 0
+		return float64(len(s.eng.Stalls().Wedged(s.cfg.StallThreshold)))
 	})
 	reg.NewGaugeFunc("oij_wal_errors", "WAL append failures since startup.", func() float64 {
 		return float64(s.walErrs.Load())
@@ -258,11 +241,7 @@ func newServerObs(s *Server, joiners int) *serverObs {
 		return metrics.Unbalancedness(s.eng.Stats().Loads())
 	})
 	reg.NewGaugeVecFunc("oij_joiner_queue_depth", "Per-joiner input ring depth.", func() []float64 {
-		in := s.introspect()
-		if in == nil {
-			return make([]float64, joiners)
-		}
-		depths := in.QueueDepths()
+		depths := s.eng.QueueDepths()
 		out := make([]float64, len(depths))
 		for i, d := range depths {
 			out[i] = float64(d)
@@ -471,11 +450,7 @@ func (s *Server) samplerLoop() {
 
 // watchStalls records stall watchdog edges to the flight recorder.
 func (s *Server) watchStalls() {
-	in := s.introspect()
-	if in == nil {
-		return
-	}
-	st := in.Stalls()
+	st := s.eng.Stalls()
 	wedged := st.Wedged(s.cfg.StallThreshold)
 	if len(wedged) > 0 {
 		var maxBlock time.Duration
@@ -656,12 +631,7 @@ func (s *Server) Statusz() Status {
 	s.mu.Unlock()
 
 	joiners := s.cfg.Engine.Joiners
-	var depths []int
-	if in := s.introspect(); in != nil {
-		depths = in.QueueDepths()
-	} else {
-		depths = make([]int, joiners)
-	}
+	depths := s.eng.QueueDepths()
 	utils := s.o.util.Values()
 	resultsPer := s.o.results.Values()
 
@@ -712,11 +682,9 @@ func (s *Server) Statusz() Status {
 		MemPressureLevel:    s.memLevel.Load(),
 		SessionsActive:      active,
 	}
-	if in := s.introspect(); in != nil {
-		stalls := in.Stalls()
-		out.Overload.StallParks = stalls.Parks
-		out.Overload.StalledJoiners = stalls.Wedged(s.cfg.StallThreshold)
-	}
+	stalls := s.eng.Stalls()
+	out.Overload.StallParks = stalls.Parks
+	out.Overload.StalledJoiners = stalls.Wedged(s.cfg.StallThreshold)
 	rev, goVer, procs := obs.Build()
 	out.Build = BuildStatus{Revision: rev, GoVersion: goVer, GOMAXPROCS: procs}
 	out.Trace = TraceStatus{

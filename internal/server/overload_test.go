@@ -132,7 +132,7 @@ func wedge(t *testing.T, s *Server, pl *pipeListener) net.Conn {
 	// claimed before admission kicks in.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		stalls := s.introspect().Stalls()
+		stalls := s.eng.Stalls()
 		blocked := false
 		for _, d := range stalls.BlockedFor {
 			blocked = blocked || d > 0

@@ -37,6 +37,7 @@ import (
 	"oij/internal/trace"
 	"oij/internal/tuple"
 	"oij/internal/wal"
+	"oij/internal/watermark"
 	"oij/internal/wire"
 )
 
@@ -302,6 +303,7 @@ type ingestReq struct {
 type Server struct {
 	cfg Config
 	eng engine.Engine
+	rz  engine.Resizer // nil when the engine cannot retune its joiner count
 
 	ln     net.Listener
 	ingest chan ingestReq
@@ -413,6 +415,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.eng = eng
+	s.rz, _ = eng.(engine.Resizer)
 	s.retention = cfg.Engine.Window.Len() + cfg.Engine.Window.Lateness
 	s.slo = newSLOEvaluator(s)
 	s.admission.Store(int32(admissionLevelOf(cfg.Admission)))
@@ -425,7 +428,7 @@ func New(cfg Config) (*Server, error) {
 		// and memory rules still apply.
 		active := cfg.Engine.Joiners
 		var resize func(int) bool
-		if rz, ok := eng.(engine.Resizer); ok && rz.Resize(bootJoiners) {
+		if s.rz != nil && s.rz.Resize(bootJoiners) {
 			active = bootJoiners
 			resize = func(n int) bool {
 				// Marshal to the ingest loop: Resize is driver-only and
@@ -766,10 +769,8 @@ func (s *Server) ingestLoop() {
 		// engines allow Resize only from the driver goroutine, and this
 		// loop is the driver. Swap-to-zero keeps only the newest target
 		// when the controller outpaces the loop.
-		if n := s.resizeReq.Swap(0); n != 0 {
-			if rz, ok := s.eng.(engine.Resizer); ok {
-				rz.Resize(int(n))
-			}
+		if n := s.resizeReq.Swap(0); n != 0 && s.rz != nil {
+			s.rz.Resize(int(n))
 		}
 		var req ingestReq
 		var ok bool
@@ -908,11 +909,12 @@ func (s *Server) memGuardSheds(ts tuple.Time) bool {
 		return true
 	case buffered >= memCap*int64(s.memSoftPct.Load())/100:
 		s.setMemLevel(1, buffered)
-		if in := s.introspect(); in != nil && s.retention > 0 {
-			if maxTS := in.MaxEventTS(); ts <= maxTS-s.retention/2 {
-				s.o.memShedProbes.Inc()
-				return true
-			}
+		// MinTime (no event time yet, or an engine that tracks none) would
+		// overflow the subtraction and shed every probe.
+		maxTS := s.eng.MaxEventTS()
+		if maxTS != watermark.MinTime && s.retention > 0 && ts <= maxTS-s.retention/2 {
+			s.o.memShedProbes.Inc()
+			return true
 		}
 		return false
 	default:

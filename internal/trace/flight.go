@@ -1,14 +1,15 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"oij/internal/faultfs"
 )
 
 // Component indexes one flight-recorder ring. Each control-plane subsystem
@@ -264,21 +265,11 @@ func (f *Flight) DumpToFile(path, reason string) error {
 	}
 	f.dumpMu.Lock()
 	defer f.dumpMu.Unlock()
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".flight-*")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := f.WriteJSON(&buf, reason); err != nil {
 		return err
 	}
-	werr := f.WriteJSON(tmp, reason)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return werr
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := faultfs.WriteFileAtomic(faultfs.OS{}, path, buf.Bytes()); err != nil {
 		return err
 	}
 	f.dumps.Add(1)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io/fs"
 
+	"oij/internal/faultfs"
 	"oij/internal/wire"
 )
 
@@ -30,24 +31,7 @@ func (w *Writer) SaveReplState(upstreamID, base uint64) error {
 	binary.LittleEndian.PutUint64(b[8:], upstreamID)
 	binary.LittleEndian.PutUint64(b[16:], base)
 	binary.LittleEndian.PutUint32(b[24:], wire.WALChecksum(b[:24]))
-	tmp := w.replStatePath() + ".tmp"
-	w.fs.Remove(tmp)
-	f, _, err := w.fs.OpenAppend(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return w.fs.Rename(tmp, w.replStatePath())
+	return faultfs.WriteFileAtomic(w.fs, w.replStatePath(), b)
 }
 
 // LoadReplState restores the position SaveReplState recorded. A missing
