@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os/exec"
-	"strconv"
 	"strings"
 
-	"oij/internal/harness"
 	"oij/internal/perf"
 )
 
@@ -34,8 +32,8 @@ var usageText = `Usage:
   oijbench simdiff  [-dim name] BASE_SIM.json CANDIDATE_SIM.json
   oijbench profdiff [-top N] [-threshold pp] [-gate regexp] BASE CANDIDATE
                     (each a pprof file or a continuous-profiling ring dir)
+  oijbench report   BENCH_x.json
   oijbench specs
-  oijbench -exp <id>|all [-n N] [-threads 1,2,4] ...   (paper figure mode; -list for IDs)
 
 Builtin sweep specs: ` + strings.Join(perf.BuiltinSpecNames(), ", ") + `.
 See EXPERIMENTS.md for the sweep spec format and the gate's decision rule.`
@@ -217,6 +215,21 @@ func runGate(args []string, stdout, stderr io.Writer) int {
 	return 1
 }
 
+// runReport prints a recorded report as one Markdown table per sweep.
+func runReport(args []string, stdout, stderr io.Writer) int {
+	if len(args) != 1 {
+		fmt.Fprintln(stderr, "oijbench report: want exactly one BENCH_*.json argument")
+		return 2
+	}
+	rep, err := perf.ReadReport(args[0])
+	if err != nil {
+		fmt.Fprintf(stderr, "oijbench report: %v\n", err)
+		return 1
+	}
+	rep.WriteMarkdown(stdout)
+	return 0
+}
+
 // runSpecs prints the builtin specs and their cell counts.
 func runSpecs(stdout, stderr io.Writer) int {
 	for _, name := range perf.BuiltinSpecNames() {
@@ -240,33 +253,4 @@ func runSpecs(stdout, stderr io.Writer) int {
 			name, len(cells), gated, spec.Repeats, spec.N)
 	}
 	return 0
-}
-
-// parseThreads parses the legacy -threads flag value.
-func parseThreads(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad -threads value %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// legacyExperiments resolves the legacy -exp argument to experiments.
-func legacyExperiments(exp string) ([]harness.Experiment, error) {
-	if exp == "all" {
-		return harness.AllExperiments(), nil
-	}
-	e, ok := harness.FindExperiment(exp)
-	if !ok {
-		return nil, fmt.Errorf("unknown experiment %q; known IDs: %s",
-			exp, strings.Join(harness.ExperimentIDs(), ", "))
-	}
-	return []harness.Experiment{e}, nil
 }

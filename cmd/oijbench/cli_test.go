@@ -13,35 +13,6 @@ import (
 	"oij/internal/perf"
 )
 
-func TestParseThreads(t *testing.T) {
-	got, err := parseThreads("1, 4,16")
-	if err != nil || !reflect.DeepEqual(got, []int{1, 4, 16}) {
-		t.Fatalf("got %v, %v", got, err)
-	}
-	if got, err := parseThreads(""); err != nil || got != nil {
-		t.Fatalf("empty: got %v, %v", got, err)
-	}
-	for _, bad := range []string{"x", "0", "-2", "1,,2"} {
-		if _, err := parseThreads(bad); err == nil {
-			t.Errorf("parseThreads(%q): expected error", bad)
-		}
-	}
-}
-
-func TestLegacyExperiments(t *testing.T) {
-	all, err := legacyExperiments("all")
-	if err != nil || len(all) == 0 {
-		t.Fatalf("all: %v, %d experiments", err, len(all))
-	}
-	one, err := legacyExperiments(all[0].ID)
-	if err != nil || len(one) != 1 || one[0].ID != all[0].ID {
-		t.Fatalf("single: %v, %v", one, err)
-	}
-	if _, err := legacyExperiments("nope"); err == nil || !strings.Contains(err.Error(), "known IDs") {
-		t.Fatalf("unknown: %v", err)
-	}
-}
-
 func TestResolveSpecBuiltinAndFile(t *testing.T) {
 	for _, name := range perf.BuiltinSpecNames() {
 		s, err := resolveSpec(name)
@@ -164,6 +135,32 @@ func TestGateFailsOnDoctoredBaseline(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "gate: FAIL") || !strings.Contains(out.String(), "REGRESSED") {
 		t.Fatalf("missing FAIL output:\n%s", out.String())
+	}
+}
+
+// TestReportPrintsMarkdown renders a recorded report: one section per
+// sweep, its varying axes as columns, every metric as median [q1, q3].
+func TestReportPrintsMarkdown(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_r.json")
+	var out, errOut bytes.Buffer
+	if code := runSweepOrBaseline("sweep", []string{"-spec", testSpecFile(t, dir), "-out", path, "-q"}, &out, &errOut); code != 0 {
+		t.Fatalf("sweep exit %d: %s", code, errOut.String())
+	}
+	out.Reset()
+	if code := runReport([]string{path}, &out, &errOut); code != 0 {
+		t.Fatalf("report exit %d: %s", code, errOut.String())
+	}
+	for _, want := range []string{"## t\n", "| engine | throughput | unbalancedness |", "| key-oij | ", "/s [", "threads 2"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report missing %q:\n%s", want, out.String())
+		}
+	}
+	if code := runReport(nil, &out, &errOut); code != 2 {
+		t.Fatalf("no argument: exit %d, want 2", code)
+	}
+	if code := runReport([]string{filepath.Join(dir, "missing.json")}, &out, &errOut); code != 1 {
+		t.Fatalf("missing report: exit %d, want 1", code)
 	}
 }
 

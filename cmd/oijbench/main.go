@@ -2,18 +2,15 @@
 //
 // Subcommands drive the perf subsystem (internal/perf):
 //
-//	oijbench sweep -spec full -tag nightly         # record BENCH_nightly.json
+//	oijbench sweep -spec full -tag paper           # record BENCH_paper.json
+//	oijbench report BENCH_paper.json               # one Markdown table per sweep
 //	oijbench baseline -spec seed                   # record BENCH_seed.json
 //	oijbench gate -baseline BENCH_seed.json        # re-measure + regression-gate
 //	oijbench specs                                 # list builtin sweep specs
 //
-// The legacy flag form regenerates the tables and figures of "Scalable
-// Online Interval Join on Modern Multicore Processors in OpenMLDB"
-// (ICDE 2023) against this repository's engines:
-//
-//	oijbench -list
-//	oijbench -exp fig4
-//	oijbench -exp all -n 500000 -threads 1,2,4,8,16,32
+// The full spec regenerates the figures of "Scalable Online Interval Join
+// on Modern Multicore Processors in OpenMLDB" (ICDE 2023) against this
+// repository's engines, one sweep per figure or group of figures.
 //
 // See DESIGN.md for the experiment index, EXPERIMENTS.md for the sweep
 // spec format and gate semantics, and PAPER_RESULTS.md for recorded
@@ -21,13 +18,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
-
-	"oij/internal/harness"
 )
 
 func main() {
@@ -39,6 +31,8 @@ func main() {
 			os.Exit(runGate(os.Args[2:], os.Stdout, os.Stderr))
 		case "specs":
 			os.Exit(runSpecs(os.Stdout, os.Stderr))
+		case "report":
+			os.Exit(runReport(os.Args[2:], os.Stdout, os.Stderr))
 		case "sim":
 			os.Exit(runSim(os.Args[2:], os.Stdout, os.Stderr))
 		case "simdiff":
@@ -50,57 +44,6 @@ func main() {
 			return
 		}
 	}
-	legacyMain()
-}
-
-// legacyMain is the original figure-regeneration mode.
-func legacyMain() {
-	var (
-		exp     = flag.String("exp", "", "experiment ID to run, or \"all\"")
-		list    = flag.Bool("list", false, "list experiment IDs and exit")
-		n       = flag.Int("n", 0, "tuples per run (default 200000)")
-		threads = flag.String("threads", "", "comma-separated joiner sweep (default 1,2,4,8,16)")
-		latj    = flag.Int("latency-threads", 0, "joiner count for latency CDFs (default 16)")
-	)
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, usageText)
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-
-	if *list {
-		for _, e := range harness.AllExperiments() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
-		}
-		return
-	}
-	if *exp == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	opts := harness.ExpOptions{N: *n, LatencyThreads: *latj}
-	ts, err := parseThreads(*threads)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "oijbench: %v\n", err)
-		os.Exit(2)
-	}
-	opts.Threads = ts
-
-	toRun, err := legacyExperiments(*exp)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "oijbench: %v\n", err)
-		os.Exit(2)
-	}
-
-	fmt.Printf("oijbench: GOMAXPROCS=%d (parallel speedup is bounded by available CPUs)\n", runtime.GOMAXPROCS(0))
-	for _, e := range toRun {
-		fmt.Printf("\n=== %s — %s ===\n", e.ID, e.Title)
-		start := time.Now()
-		if err := e.Run(os.Stdout, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "oijbench: %s: %v\n", e.ID, err)
-			os.Exit(1)
-		}
-		fmt.Printf("(%s in %v)\n", e.ID, time.Since(start).Round(time.Millisecond))
-	}
+	fmt.Fprintln(os.Stderr, usageText)
+	os.Exit(2)
 }

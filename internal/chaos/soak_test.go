@@ -182,7 +182,7 @@ func TestSoakOverloadAndRecovery(t *testing.T) {
 				}
 			}(id)
 		}
-		wg.Wait()
+		awaitStep(t, doneWhen(&wg), 3*time.Minute, "the "+name+" phase's clients")
 	}
 
 	// Phase 1: clean warmup — everything must succeed.
@@ -198,6 +198,10 @@ func TestSoakOverloadAndRecovery(t *testing.T) {
 
 	adminBase := fmt.Sprintf("http://%s", s.AdminAddr())
 	scrapeStop := make(chan struct{})
+	// Stop the scrapers on every exit path, so a failed step does not
+	// leave them spinning for the rest of the package run.
+	stopScrapes := sync.OnceFunc(func() { close(scrapeStop) })
+	defer stopScrapes()
 	var scrapeWG sync.WaitGroup
 	var scrapes atomic.Int64
 	for _, url := range []string{
@@ -273,8 +277,8 @@ func TestSoakOverloadAndRecovery(t *testing.T) {
 		proxy.DropActive()
 	}()
 	runPhase("fault-b", faultRounds-faultHalf, false)
-	<-dropDone
-	<-slowDone
+	awaitStep(t, dropDone, 10*time.Second, "the mid-phase partition (proxy.DropActive)")
+	awaitStep(t, slowDone, 30*time.Second, "the never-reading client's send loop (it blocks until the server evicts and closes its session)")
 	if proxy.DroppedConns.Load() < 1 {
 		t.Error("partition dropped no live sessions")
 	}
@@ -286,8 +290,8 @@ func TestSoakOverloadAndRecovery(t *testing.T) {
 	})
 	nacksBefore := atomic.LoadInt64(&stats.nacks)
 	runPhase("recovery", recoverRounds, true)
-	close(scrapeStop)
-	scrapeWG.Wait()
+	stopScrapes()
+	awaitStep(t, doneWhen(&scrapeWG), 30*time.Second, "the observability scrapers to stop")
 	if scrapes.Load() == 0 {
 		t.Error("observability endpoints unreadable during the soak")
 	}
@@ -513,6 +517,27 @@ func TestSoakOverloadAndRecovery(t *testing.T) {
 
 	t.Logf("soak: %d admitted rounds (p99 %v), %d NACKs, %d disconnects, %d failed fault-phase rounds, %d scrapes, overload=%+v, flight: %d mem / %d stall / %d evict events",
 		len(stats.latencies), stats.p99(), stats.nacks, stats.disconnects, stats.failed, scrapes.Load(), st.Overload, memLevels, stalls, evictions)
+}
+
+// awaitStep waits for done, failing the test with the step's name after
+// timeout instead of leaving it to hang until the package timeout.
+func awaitStep(t *testing.T, done <-chan struct{}, timeout time.Duration, step string) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(timeout):
+		t.Fatalf("soak stuck for %v waiting for %s", timeout, step)
+	}
+}
+
+// doneWhen returns a channel closed once wg's counter reaches zero.
+func doneWhen(wg *sync.WaitGroup) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	return done
 }
 
 func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {

@@ -116,9 +116,6 @@ type RunConfig struct {
 
 // RunResult carries everything a figure needs.
 type RunResult struct {
-	Engine         string
-	Joiners        int
-	Tuples         int64
 	Elapsed        time.Duration
 	Throughput     float64 // input tuples per second
 	Results        int64
@@ -126,8 +123,6 @@ type RunResult struct {
 	Breakdown      metrics.Breakdown
 	Effectiveness  float64
 	Unbalancedness float64
-	Evicted        int64
-	Extra          map[string]int64
 	Utilization    *metrics.Utilization
 }
 
@@ -236,15 +231,10 @@ func Run(rc RunConfig) (RunResult, error) {
 
 	st := eng.Stats()
 	res := RunResult{
-		Engine:         rc.Engine,
-		Joiners:        rc.Joiners,
-		Tuples:         int64(len(tuples)),
 		Elapsed:        elapsed,
 		Throughput:     metrics.Throughput(int64(len(tuples)), elapsed),
 		Results:        st.Results.Load(),
 		Unbalancedness: metrics.Unbalancedness(st.Loads()),
-		Evicted:        st.Evicted.Load(),
-		Extra:          st.Extra,
 		Utilization:    util,
 	}
 	if rc.Instrument {

@@ -206,33 +206,6 @@ func (c CDF) Quantile(q float64) time.Duration {
 	return time.Duration(c.Sorted[rank-1])
 }
 
-// FractionBelow returns the fraction of samples at or below d — e.g. the
-// paper's "80%-90% below 20 ms" check for Workloads A and D.
-func (c CDF) FractionBelow(d time.Duration) float64 {
-	if len(c.Sorted) == 0 {
-		return 0
-	}
-	n := sort.Search(len(c.Sorted), func(i int) bool { return c.Sorted[i] > int64(d) })
-	return float64(n) / float64(len(c.Sorted))
-}
-
-// Series renders (latency, cumulative fraction) points at the given
-// quantiles, ready for plotting a CDF curve.
-func (c CDF) Series(quantiles []float64) []struct {
-	Q       float64
-	Latency time.Duration
-} {
-	out := make([]struct {
-		Q       float64
-		Latency time.Duration
-	}, len(quantiles))
-	for i, q := range quantiles {
-		out[i].Q = q
-		out[i].Latency = c.Quantile(q)
-	}
-	return out
-}
-
 // Summary describes a small set of repeated measurements (e.g. the
 // per-cell throughput samples of a benchmark sweep) by its nearest-rank
 // quartiles — the statistics the perf regression gate compares. Quartiles

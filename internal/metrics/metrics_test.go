@@ -81,16 +81,6 @@ func TestCDF(t *testing.T) {
 	if got := c.Quantile(0.5); got < 49*time.Millisecond || got > 52*time.Millisecond {
 		t.Fatalf("p50 = %v", got)
 	}
-	if got := c.FractionBelow(20 * time.Millisecond); got != 0.2 {
-		t.Fatalf("FractionBelow(20ms) = %g", got)
-	}
-	if got := c.FractionBelow(time.Hour); got != 1 {
-		t.Fatalf("FractionBelow(1h) = %g", got)
-	}
-	pts := c.Series([]float64{0.5, 0.99})
-	if len(pts) != 2 || pts[0].Q != 0.5 {
-		t.Fatalf("Series = %+v", pts)
-	}
 }
 
 // TestQuantileNearestRank is the regression test for the index-truncation
@@ -246,7 +236,7 @@ func TestUtilizationLimitHistory(t *testing.T) {
 
 func TestCDFEmpty(t *testing.T) {
 	var c CDF
-	if c.Quantile(0.5) != 0 || c.FractionBelow(time.Second) != 0 {
+	if c.Quantile(0.5) != 0 {
 		t.Fatal("empty CDF should degrade to zeros")
 	}
 }

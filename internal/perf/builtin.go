@@ -15,8 +15,8 @@ import (
 //     scheduler (skew sweep), sized to finish in well under a minute.
 //   - "seed"   — the committed-baseline tier: smoke's axes plus window,
 //     emission-mode, latency, and effectiveness sweeps.
-//   - "full"   — the nightly tier: the paper's axis ranges (Figs. 10–16)
-//     with more repeats.
+//   - "full"   — the paper tier: every figure of the paper's evaluation
+//     (Figs. 4–23) as a sweep, recorded nightly and in BENCH_paper.json.
 //
 // Cell identities are schema: removing or renaming a gated sweep breaks
 // comparison against every baseline recorded from the old shape.
@@ -106,38 +106,89 @@ func seedSpec() Spec {
 	return s
 }
 
+// fullSpec is the paper's evaluation (§III–§V, Figs. 4–23) as one spec:
+// every figure PAPER_RESULTS.md discusses is read off a sweep here, with
+// the figure numbers noted beside each. The sensitivity sweeps run the
+// paper's default 16 joiners on the Table IV workload.
 func fullSpec() Spec {
+	threads := []int{1, 2, 4, 8, 16}
+	fourEngines := []string{harness.KeyOIJ, harness.ScaleOIJNoInc, harness.ScaleOIJ, harness.SplitJoin}
+	latencyEngines := []string{harness.KeyOIJ, harness.ScaleOIJNoInc, harness.ScaleOIJ, harness.SplitJoin, harness.OpenMLDB}
+	windows := []int64{100, 1_000, 10_000, 25_000, 50_000}
+	windowEngines := []string{harness.KeyOIJ, harness.ScaleOIJNoInc, harness.ScaleOIJ}
+	// The top lateness stays well below a run's event-time span
+	// (N/EventRate = 200 ms) so the steady-state buffer population, not
+	// warmup, dominates each cell.
+	lateness := []int64{100, 1_000, 5_000, 10_000, 20_000, 50_000, 100_000}
+
+	sweeps := []Sweep{
+		{Name: "threads", Workload: "default", Engines: allEngines(), Threads: threads, Gate: true},
+	}
+	for _, wl := range []string{"A", "B", "C", "D"} {
+		sweeps = append(sweeps,
+			// Figs. 4 (key-oij) and 17–20 (throughput).
+			Sweep{Name: "threads-" + wl, Workload: wl, Engines: fourEngines, Threads: threads},
+			// Figs. 5 (key-oij), 17–20 (latency) and 23 (openmldb).
+			Sweep{Name: "latency-" + wl, Workload: wl, Engines: latencyEngines,
+				Threads: []int{16}, MeasureLatency: true, Paced: true},
+			// Fig. 6: Key-OIJ's lookup/match time breakdown.
+			Sweep{Name: "breakdown-" + wl, Workload: wl, Engines: []string{harness.KeyOIJ},
+				Threads: []int{16}, Instrument: true},
+			// Fig. 22: throughput against the OpenMLDB baseline.
+			Sweep{Name: "openmldb-" + wl, Workload: wl, Engines: []string{harness.OpenMLDB, harness.ScaleOIJ},
+				Threads: []int{16}},
+		)
+	}
+	sweeps = append(sweeps,
+		// Figs. 7 (key-oij) and 11.
+		Sweep{Name: "lateness", Workload: "default", Engines: contenders(), Threads: []int{16},
+			LatenessUS: lateness, Gate: true},
+		Sweep{Name: "effectiveness", Workload: "default", Engines: contenders(), Threads: []int{16},
+			LatenessUS: lateness, Instrument: true},
+		// Figs. 8 (key-oij) and 13b–c.
+		Sweep{Name: "keys", Workload: "default", Engines: contenders(), Threads: []int{16},
+			Keys: []int{1, 10, 100, 1_000, 10_000, 100_000}},
+		// Fig. 13a: with 5 keys Key-OIJ can use at most 5 joiners.
+		Sweep{Name: "keys5", Workload: "default", Engines: contenders(), Threads: threads, Keys: []int{5}},
+		// Figs. 9 (key-oij) and 16.
+		Sweep{Name: "window", Workload: "default", Engines: windowEngines, Threads: []int{16},
+			WindowUS: windows, Gate: true},
+		// Fig. 16 with max, which Subtract-on-Evict cannot invert: the
+		// two-stacks path keeps incremental Scale-OIJ flat.
+		Sweep{Name: "window-max", Workload: "default", Engines: windowEngines, Threads: []int{16},
+			WindowUS: windows, Agg: "max"},
+		// As in the seed spec, skew and hot-key rotation gate scale-oij
+		// only; key-oij's static partition is bimodal under skew and is
+		// recorded ungated.
+		Sweep{Name: "skew", Workload: "default", Engines: []string{harness.ScaleOIJ}, Threads: []int{16},
+			ZipfS: []float64{0, 1.1, 1.5}, Gate: true},
+		Sweep{Name: "skew-ref", Workload: "default", Engines: []string{harness.KeyOIJ}, Threads: []int{16},
+			ZipfS: []float64{0, 1.1, 1.5}},
+		// Fig. 14: paced, so per-joiner work reflects scheduling rather
+		// than raw speed; paced cells record per-epoch imbalance.
+		Sweep{Name: "rotation", Workload: "skewed", Engines: []string{harness.ScaleOIJ}, Threads: []int{16},
+			Paced: true, Gate: true},
+		Sweep{Name: "rotation-ref", Workload: "skewed", Engines: []string{harness.KeyOIJ}, Threads: []int{16},
+			Paced: true},
+		// Fig. 21: the Key-OIJ-favouring workload.
+		Sweep{Name: "tableV", Workload: "tableV", Engines: []string{harness.KeyOIJ, harness.ScaleOIJ, harness.SplitJoin},
+			Threads: threads, Gate: true},
+		// Each Scale-OIJ optimization switched off in turn, on the few-key
+		// workload where shared processing matters.
+		Sweep{Name: "ablation", Workload: "default", Engines: []string{
+			harness.ScaleOIJStatic, harness.ScaleOIJIncOnly, harness.ScaleOIJNoDyn, harness.ScaleOIJNoInc, harness.ScaleOIJ,
+		}, Threads: []int{8}, Keys: []int{5}},
+		Sweep{Name: "modes", Workload: "default", Engines: contenders(), Threads: []int{16},
+			Modes: []string{"on-arrival", "on-watermark"}, Gate: true},
+		Sweep{Name: "latency", Workload: "default", Engines: contenders(), Threads: []int{16},
+			MeasureLatency: true, Gate: true},
+	)
 	return Spec{
 		SpecVersion: CurrentSpecVersion,
 		Name:        "full",
 		N:           200_000,
 		Repeats:     5,
 		Seed:        1,
-		Sweeps: []Sweep{
-			{Name: "threads", Workload: "default", Engines: allEngines(),
-				Threads: []int{1, 2, 4, 8, 16}, Gate: true},
-			{Name: "lateness", Workload: "default", Engines: contenders(), Threads: []int{16},
-				LatenessUS: []int64{100, 1_000, 10_000, 50_000, 100_000}, Gate: true},
-			{Name: "window", Workload: "default", Engines: contenders(), Threads: []int{16},
-				WindowUS: []int64{100, 1_000, 10_000, 50_000}, Gate: true},
-			// As in the seed spec, skew and hot-key rotation gate
-			// scale-oij only; key-oij's static partition is bimodal under
-			// skew and is recorded ungated.
-			{Name: "skew", Workload: "default", Engines: []string{harness.ScaleOIJ}, Threads: []int{16},
-				ZipfS: []float64{0, 1.1, 1.5}, Gate: true},
-			{Name: "skew-ref", Workload: "default", Engines: []string{harness.KeyOIJ}, Threads: []int{16},
-				ZipfS: []float64{0, 1.1, 1.5}},
-			{Name: "rotation", Workload: "skewed", Engines: []string{harness.ScaleOIJ}, Threads: []int{16}, Gate: true},
-			{Name: "rotation-ref", Workload: "skewed", Engines: []string{harness.KeyOIJ}, Threads: []int{16}},
-			{Name: "tableV", Workload: "tableV", Engines: contenders(), Threads: []int{16}, Gate: true},
-			{Name: "modes", Workload: "default", Engines: contenders(), Threads: []int{16},
-				Modes: []string{"on-arrival", "on-watermark"}, Gate: true},
-			{Name: "latency", Workload: "default", Engines: contenders(), Threads: []int{16},
-				MeasureLatency: true, Gate: true},
-			{Name: "latency-A", Workload: "A", Engines: []string{harness.ScaleOIJ}, Threads: []int{16},
-				MeasureLatency: true, Paced: true},
-			{Name: "effectiveness", Workload: "default", Engines: contenders(), Threads: []int{16},
-				LatenessUS: []int64{100, 10_000, 100_000}, Instrument: true},
-		},
+		Sweeps:      sweeps,
 	}
 }

@@ -59,7 +59,9 @@ type Cell struct {
 	WindowUS     int64    `json:"window_us"`
 	LatenessUS   int64    `json:"lateness_us"`
 	ZipfS        float64  `json:"zipf_s"`
+	Keys         int      `json:"keys,omitempty"` // 0: the preset's own
 	Mode         string   `json:"mode"`
+	Agg          string   `json:"agg,omitempty"` // "": sum
 	N            int      `json:"n"`
 	Gated        bool     `json:"gated,omitempty"`
 	Latency      bool     `json:"latency,omitempty"`
@@ -78,8 +80,16 @@ type Sample struct {
 	P50NS  int64 `json:"p50_ns,omitempty"`
 	P99NS  int64 `json:"p99_ns,omitempty"`
 	P999NS int64 `json:"p999_ns,omitempty"`
-	// Effectiveness (Eq. 1); present only on instrumented cells.
+	// Effectiveness (Eq. 1) and the Fig. 6 time breakdown's lookup and
+	// match shares of joiner busy time; present only on instrumented
+	// cells.
 	Effectiveness float64 `json:"effectiveness,omitempty"`
+	LookupShare   float64 `json:"lookup_share,omitempty"`
+	MatchShare    float64 `json:"match_share,omitempty"`
+	// Per-epoch imbalance and temporal smoothness of per-joiner work
+	// (Fig. 14), sampled every UtilEpoch; present only on paced cells.
+	Imbalance  float64 `json:"imbalance,omitempty"`
+	Smoothness float64 `json:"smoothness,omitempty"`
 }
 
 // Throughputs extracts the cell's throughput samples.

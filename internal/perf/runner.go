@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"oij/internal/agg"
 	"oij/internal/engine"
 	"oij/internal/harness"
 	"oij/internal/obs"
@@ -49,6 +50,11 @@ type RunOptions struct {
 	// (default "oij-prof-ring").
 	ProfileDir string
 }
+
+// utilEpoch is the utilization sampling epoch of paced cells: short
+// enough that one 100 ms hot-set rotation of the skewed preset spans
+// several epochs, so the per-epoch imbalance sees each rotation.
+const utilEpoch = 50 * time.Millisecond
 
 // RunSpec executes every cell of the spec and assembles the report.
 //
@@ -130,7 +136,7 @@ func runCell(c *Cell, spec Spec, rep int, gen map[string][]tuple.Tuple, fr *trac
 	if err != nil {
 		return Sample{}, err
 	}
-	key := fmt.Sprintf("%s/n=%d/w=%d/l=%d/z=%g", c.Workload, c.N, c.WindowUS, c.LatenessUS, c.ZipfS)
+	key := fmt.Sprintf("%s/n=%d/w=%d/l=%d/z=%g/u=%d", c.Workload, c.N, c.WindowUS, c.LatenessUS, c.ZipfS, c.Keys)
 	tuples, ok := gen[key]
 	if !ok {
 		if tuples, err = wl.Generate(); err != nil {
@@ -139,6 +145,12 @@ func runCell(c *Cell, spec Spec, rep int, gen map[string][]tuple.Tuple, fr *trac
 		gen[key] = tuples
 	}
 
+	fn := agg.Sum
+	if c.Agg != "" {
+		if fn, err = agg.Parse(c.Agg); err != nil {
+			return Sample{}, err
+		}
+	}
 	maxSamples := spec.MaxLatencySamples
 	if c.Latency && maxSamples <= 0 {
 		maxSamples = 4096
@@ -148,6 +160,7 @@ func runCell(c *Cell, spec Spec, rep int, gen map[string][]tuple.Tuple, fr *trac
 		Workload:          wl,
 		Tuples:            tuples,
 		Joiners:           c.Threads,
+		Agg:               fn,
 		Mode:              emitModes[c.Mode],
 		Paced:             c.Paced,
 		MeasureLatency:    c.Latency,
@@ -155,6 +168,9 @@ func runCell(c *Cell, spec Spec, rep int, gen map[string][]tuple.Tuple, fr *trac
 		LatencySeed:       uint64(spec.Seed)*1_000_003 + uint64(rep),
 		Instrument:        c.Instrumented,
 		Flight:            fr,
+	}
+	if c.Paced {
+		rc.UtilEpoch = utilEpoch
 	}
 	if telemetry {
 		// Mirror oijd's telemetry layer: the sketch is observed per tuple
@@ -204,6 +220,11 @@ func runCell(c *Cell, spec Spec, rep int, gen map[string][]tuple.Tuple, fr *trac
 	}
 	if c.Instrumented {
 		s.Effectiveness = res.Effectiveness
+		s.LookupShare, s.MatchShare, _ = res.Breakdown.Fractions()
+	}
+	if res.Utilization != nil {
+		s.Imbalance = res.Utilization.Imbalance()
+		s.Smoothness = res.Utilization.Smoothness()
 	}
 	return s, nil
 }

@@ -116,6 +116,30 @@ func TestRunSpecWithProfiler(t *testing.T) {
 	}
 }
 
+// TestPacedCellsRecordUtilization checks the Fig. 14 metrics: a paced
+// cell spanning several utilization epochs records per-epoch imbalance,
+// and an unpaced one records none. Key-OIJ under a hot set is never
+// balanced per epoch.
+func TestPacedCellsRecordUtilization(t *testing.T) {
+	s := Spec{
+		SpecVersion: CurrentSpecVersion, Name: "util", N: 20_000, Repeats: 1,
+		Sweeps: []Sweep{
+			{Name: "paced", Workload: "skewed", Engines: []string{harness.KeyOIJ}, Threads: []int{4}, Paced: true},
+			{Name: "unpaced", Workload: "skewed", Engines: []string{harness.KeyOIJ}, Threads: []int{4}},
+		},
+	}
+	rep, err := RunSpec(s, RunOptions{Env: &Env{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Cells[0].Samples[0]; got.Imbalance <= 0 {
+		t.Errorf("paced cell recorded imbalance %g, want > 0", got.Imbalance)
+	}
+	if got := rep.Cells[1].Samples[0]; got.Imbalance != 0 || got.Smoothness != 0 {
+		t.Errorf("unpaced cell recorded utilization %+v", got)
+	}
+}
+
 func TestRunSpecOverrides(t *testing.T) {
 	s := tinySpec()
 	s.Sweeps = s.Sweeps[:1]

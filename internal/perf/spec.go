@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"oij/internal/agg"
 	"oij/internal/engine"
 	"oij/internal/harness"
 	"oij/internal/tuple"
@@ -45,9 +46,17 @@ type Sweep struct {
 	LatenessUS []int64 `json:"lateness_us,omitempty"`
 	// ZipfS overrides key skew (0 = uniform, >1 = Zipf exponent).
 	ZipfS []float64 `json:"zipf_s,omitempty"`
+	// Keys overrides the number of unique keys u. Unlike the other axes
+	// it enters a cell ID only when set, so IDs recorded before the axis
+	// existed still match.
+	Keys []int `json:"keys,omitempty"`
 	// Modes are emission modes: "on-arrival" and/or "on-watermark"
 	// (default: the preset's serving semantics, on-arrival).
 	Modes []string `json:"modes,omitempty"`
+	// Agg is the aggregation operator for every cell of the sweep, by its
+	// SQL name (default "sum"). It is one value, not an axis, so the
+	// sweep name already tells cells of different operators apart.
+	Agg string `json:"agg,omitempty"`
 	// MeasureLatency stamps base tuples and records p50/p99/p999 per
 	// sample. Latency cells are additionally gated on p99 inflation.
 	MeasureLatency bool `json:"measure_latency,omitempty"`
@@ -143,6 +152,16 @@ func (s Spec) Validate() error {
 				return fmt.Errorf("perf: sweep %s: negative lateness_us %d", sw.Name, l)
 			}
 		}
+		for _, u := range sw.Keys {
+			if u < 1 {
+				return fmt.Errorf("perf: sweep %s: keys must be >= 1, got %d", sw.Name, u)
+			}
+		}
+		if sw.Agg != "" {
+			if _, err := agg.Parse(sw.Agg); err != nil {
+				return fmt.Errorf("perf: sweep %s: %w", sw.Name, err)
+			}
+		}
 	}
 	return nil
 }
@@ -180,29 +199,39 @@ func (s Spec) Cells() ([]Cell, error) {
 		if len(modes) == 0 {
 			modes = []string{engine.OnArrival.String()}
 		}
+		// 0 stands for the preset's own key count and keeps u out of
+		// the cell ID.
+		keys := sw.Keys
+		if len(keys) == 0 {
+			keys = []int{0}
+		}
 		for _, eng := range sw.Engines {
 			for _, th := range threads {
 				for _, win := range windows {
 					for _, late := range lateness {
 						for _, z := range zipfs {
-							for _, mode := range modes {
-								c := Cell{
-									Sweep:        sw.Name,
-									Engine:       eng,
-									Workload:     sw.Workload,
-									Threads:      th,
-									WindowUS:     win,
-									LatenessUS:   late,
-									ZipfS:        z,
-									Mode:         mode,
-									N:            s.N,
-									Gated:        sw.Gate,
-									Latency:      sw.MeasureLatency,
-									Paced:        sw.Paced,
-									Instrumented: sw.Instrument,
+							for _, u := range keys {
+								for _, mode := range modes {
+									c := Cell{
+										Sweep:        sw.Name,
+										Engine:       eng,
+										Workload:     sw.Workload,
+										Threads:      th,
+										WindowUS:     win,
+										LatenessUS:   late,
+										ZipfS:        z,
+										Keys:         u,
+										Mode:         mode,
+										Agg:          sw.Agg,
+										N:            s.N,
+										Gated:        sw.Gate,
+										Latency:      sw.MeasureLatency,
+										Paced:        sw.Paced,
+										Instrumented: sw.Instrument,
+									}
+									c.ID = c.id()
+									cells = append(cells, c)
 								}
-								c.ID = c.id()
-								cells = append(cells, c)
 							}
 						}
 					}
@@ -225,6 +254,9 @@ func (c Cell) workloadConfig() (workload.Config, error) {
 	// exceed it or results would be inexact.
 	wl.Disorder = tuple.Time(c.LatenessUS)
 	wl.ZipfS = c.ZipfS
+	if c.Keys > 0 {
+		wl.Keys = c.Keys
+	}
 	if !c.Paced {
 		wl.ArrivalRate = 0
 	}
@@ -232,10 +264,15 @@ func (c Cell) workloadConfig() (workload.Config, error) {
 }
 
 // id renders the canonical cell identity: every resolved parameter, so
-// baselines and fresh runs match cells by string equality.
+// baselines and fresh runs match cells by string equality. The key count
+// appears only when the sweep overrides it.
 func (c Cell) id() string {
-	return fmt.Sprintf("%s/%s/wl=%s/t=%d/w=%dus/l=%dus/z=%g/%s",
-		c.Sweep, c.Engine, c.Workload, c.Threads, c.WindowUS, c.LatenessUS, c.ZipfS, c.Mode)
+	keys := ""
+	if c.Keys > 0 {
+		keys = fmt.Sprintf("/u=%d", c.Keys)
+	}
+	return fmt.Sprintf("%s/%s/wl=%s/t=%d/w=%dus/l=%dus/z=%g%s/%s",
+		c.Sweep, c.Engine, c.Workload, c.Threads, c.WindowUS, c.LatenessUS, c.ZipfS, keys, c.Mode)
 }
 
 // ParseSpec decodes and validates a JSON sweep spec.

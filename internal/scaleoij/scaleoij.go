@@ -669,10 +669,3 @@ func (j *joiner) pushSorted(s *agg.Sliding, mask uint64, k tuple.Key, lo, hi tup
 		s.Push(p.ts, p.val)
 	}
 }
-
-// CrossNodeShareAgainst evaluates the engine's final schedule against a
-// hypothetical NUMA topology (experimentation helper: it quantifies the
-// remote reads a topology-blind schedule would cause). Call after Drain.
-func (e *Engine) CrossNodeShareAgainst(topology []int) float64 {
-	return sched.CrossNodeShare(e.schedule, e.bal.Counts, topology, e.Cfg.Joiners)
-}

@@ -142,10 +142,13 @@ func TableV(n int) Config {
 
 // Skewed returns the Fig. 14 workload: 10 000 keys (large enough to
 // partition evenly even for Key-OIJ) with a random hot set rotating every
-// rotation period, other parameters per Table IV.
+// rotation period, other parameters per Table IV. A paced replay runs at
+// 100 K tuples/s, so one 100 ms rotation of event time spans a second of
+// wall time: many utilization epochs rather than one.
 func Skewed(n int) Config {
 	c := DefaultSynthetic(n)
 	c.Name = "synthetic-skewed"
+	c.ArrivalRate = 100_000
 	c.Keys = 10_000
 	c.Hot = &HotRotation{Period: 100 * ms, HotKeys: 8, HotShare: 0.8}
 	c.Seed = 9

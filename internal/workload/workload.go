@@ -108,13 +108,6 @@ func (c Config) MatchesPerWindow() float64 {
 	return probeRate * float64(c.Window.Len()) / 1e6
 }
 
-// LatenessElements estimates the extra probe tuples buffered per key purely
-// to cover the lateness range (Workload C's "extra 10,000 elements").
-func (c Config) LatenessElements() float64 {
-	probeRate := c.EventRate * (1 - c.BaseShare) / float64(c.Keys)
-	return probeRate * float64(c.Window.Lateness) / 1e6
-}
-
 // Generate produces the tuple sequence in arrival order.
 //
 // Tuple i has a nominal event timestamp i/EventRate; a jitter uniform in
