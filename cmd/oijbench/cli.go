@@ -31,7 +31,7 @@ var usageText = `Usage:
                     [-out SIM_name.json] [-check-slo] [-q] profile.json
   oijbench simdiff  [-dim name] BASE_SIM.json CANDIDATE_SIM.json
   oijbench profdiff [-top N] [-threshold pp] [-gate regexp] BASE CANDIDATE
-                    (each a pprof file or a continuous-profiling ring dir)
+                    (each a pprof file or a profiling ring dir; runs go tool pprof)
   oijbench report   BENCH_x.json
   oijbench specs
 

@@ -6,24 +6,24 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 
 	"oij/internal/prof"
 )
 
-// runProfDiff compares two pprof profiles and ranks functions by how much
-// of the profile they gained — the regression-attribution step behind the
-// profiling-overhead CI job. Each argument is either a pprof file or a
-// continuous-profiling ring directory (holding MANIFEST.json), in which
-// case all its CPU profiles are merged into one window first.
-//
-// Shares are normalized (fraction of each profile's own total), so a
-// baseline and candidate of different lengths still compare: a function
-// whose share grew by more than -threshold percentage points is a finding,
-// and when its name matches -gate the diff FAILs with exit 1.
+// runProfDiff ranks functions by how much of the profile they gained
+// between two pprof files or continuous-profiling ring directories (whose
+// CPU slices are merged) — the regression-attribution step behind the
+// profiling-overhead CI job. It wraps `go tool pprof -top -normalize
+// -diff_base`, which scales the candidate to the baseline's total, so
+// captures of different lengths compare. A function whose flat share grew
+// by more than -threshold percentage points is a finding; a finding
+// matching -gate FAILs the diff with exit 1.
 func runProfDiff(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("profdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -48,32 +48,35 @@ func runProfDiff(args []string, stdout, stderr io.Writer) int {
 		gateRE = re
 	}
 
-	base, baseDesc, err := loadProfileArg(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(stderr, "oijbench profdiff: %s: %v\n", fs.Arg(0), err)
-		return 2
-	}
-	cand, candDesc, err := loadProfileArg(fs.Arg(1))
-	if err != nil {
-		fmt.Fprintf(stderr, "oijbench profdiff: %s: %v\n", fs.Arg(1), err)
-		return 2
-	}
-
-	rows, findings := diffProfiles(base, cand, *threshold, gateRE)
-
-	fmt.Fprintf(stdout, "oijbench profdiff: base %s, candidate %s\n", baseDesc, candDesc)
-	fmt.Fprintf(stdout, "%-44s %9s %9s %8s %9s\n", "function (by flat-share delta)", "base%", "cand%", "Δpp", "candcum%")
-	n := *top
-	if n > len(rows) {
-		n = len(rows)
-	}
-	for _, r := range rows[:n] {
-		mark := " "
-		if r.finding {
-			mark = "!"
+	var files [2][]string
+	var desc [2]string
+	for i := range files {
+		var err error
+		if files[i], desc[i], err = profileFiles(fs.Arg(i)); err != nil {
+			fmt.Fprintf(stderr, "oijbench profdiff: %s: %v\n", fs.Arg(i), err)
+			return 2
 		}
-		fmt.Fprintf(stdout, "%s %-42s %8.2f%% %8.2f%% %+7.2f %8.2f%%\n",
-			mark, truncFunc(r.name, 42), r.baseShare*100, r.candShare*100, r.delta*100, r.candCum*100)
+	}
+	rows, err := pprofDiff(files[0], files[1])
+	if err != nil {
+		fmt.Fprintf(stderr, "oijbench profdiff: %v\n", err)
+		return 2
+	}
+
+	fmt.Fprintf(stdout, "oijbench profdiff: base %s, candidate %s\n", desc[0], desc[1])
+	fmt.Fprintf(stdout, "%-44s %9s %9s\n", "function (by flat-share delta)", "Δflat pp", "Δcum pp")
+	var findings []string
+	for i, r := range rows {
+		mark := " "
+		if r.flat > *threshold {
+			mark = "!"
+			if gateRE != nil && gateRE.MatchString(r.name) {
+				findings = append(findings, r.name)
+			}
+		}
+		if i < *top {
+			fmt.Fprintf(stdout, "%s %-42s %+9.2f %+9.2f\n", mark, truncFunc(r.name, 42), r.flat, r.cum)
+		}
 	}
 
 	if len(findings) > 0 {
@@ -85,81 +88,97 @@ func runProfDiff(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// diffRow is one function's before/after share of its profile.
+// diffRow is one function's change, in percentage points of the baseline
+// total.
 type diffRow struct {
-	name                 string
-	baseShare, candShare float64
-	candCum              float64
-	delta                float64
-	finding              bool
+	name      string
+	flat, cum float64
 }
 
-// diffProfiles ranks every function by flat-share growth. A finding is a
-// function that grew beyond threshold percentage points; findings matching
-// gateRE are returned separately as the failures.
-func diffProfiles(base, cand *prof.Profile, thresholdPP float64, gateRE *regexp.Regexp) ([]diffRow, []string) {
-	bTotals, bGrand := base.FuncTotals(base.DefaultValueIndex())
-	cTotals, cGrand := cand.FuncTotals(cand.DefaultValueIndex())
+// pprofTotalRE captures the total every `go tool pprof -top` share is of.
+var pprofTotalRE = regexp.MustCompile(`of (\S+) total`)
 
-	names := map[string]bool{}
-	for n := range bTotals {
-		names[n] = true
-	}
-	for n := range cTotals {
-		names[n] = true
-	}
-	rows := make([]diffRow, 0, len(names))
-	for n := range names {
-		r := diffRow{name: n}
-		if bGrand > 0 {
-			r.baseShare = float64(bTotals[n].Flat) / float64(bGrand)
+// pprofDiff runs `go tool pprof -top -diff_base` over the files and ranks
+// its rows by signed flat-share delta, largest growth first. The tool
+// merges several candidate files itself but keeps only the last of
+// repeated -diff_base flags, so a multi-file baseline is first merged into
+// one temporary profile with `go tool pprof -proto`.
+func pprofDiff(base, cand []string) ([]diffRow, error) {
+	if len(base) > 1 {
+		tmp, err := os.CreateTemp("", "profdiff-base-*.pb.gz")
+		if err != nil {
+			return nil, err
 		}
-		if cGrand > 0 {
-			r.candShare = float64(cTotals[n].Flat) / float64(cGrand)
-			r.candCum = float64(cTotals[n].Cum) / float64(cGrand)
+		tmp.Close()
+		defer os.Remove(tmp.Name())
+		if _, err := goToolPprof(append([]string{"-proto", "-output=" + tmp.Name()}, base...)...); err != nil {
+			return nil, err
 		}
-		r.delta = r.candShare - r.baseShare
-		r.finding = r.delta*100 > thresholdPP
-		rows = append(rows, r)
+		base = []string{tmp.Name()}
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].delta != rows[j].delta {
-			return rows[i].delta > rows[j].delta
-		}
-		return rows[i].name < rows[j].name
-	})
-
-	var findings []string
-	if gateRE != nil {
-		for _, r := range rows {
-			if r.finding && gateRE.MatchString(r.name) {
-				findings = append(findings, r.name)
-			}
-		}
+	out, err := goToolPprof(append([]string{"-top", "-normalize", "-unit=ns", "-nodefraction=0", "-diff_base=" + base[0]}, cand...)...)
+	if err != nil {
+		return nil, err
 	}
-	return rows, findings
+	m := pprofTotalRE.FindSubmatch(out)
+	if m == nil {
+		return nil, fmt.Errorf("go tool pprof printed no total:\n%s", out)
+	}
+	total, err := pprofValue(string(m[1]))
+	if err != nil {
+		return nil, fmt.Errorf("go tool pprof total %q: %w", m[1], err)
+	}
+	if total == 0 {
+		return nil, nil // nothing sampled: no function can have grown
+	}
+	// A row is "flat flat% sum% cum cum% name"; every other line fails
+	// the shape check.
+	var rows []diffRow
+	for _, ln := range strings.Split(string(out), "\n") {
+		f := strings.Fields(ln)
+		if len(f) < 6 || !strings.HasSuffix(f[1], "%") || !strings.HasSuffix(f[4], "%") {
+			continue
+		}
+		flat, ferr := pprofValue(f[0])
+		cum, cerr := pprofValue(f[3])
+		if ferr != nil || cerr != nil {
+			continue
+		}
+		rows = append(rows, diffRow{strings.Join(f[5:], " "), flat / total * 100, cum / total * 100})
+	}
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].flat > rows[j].flat })
+	return rows, nil
 }
 
-// loadProfileArg resolves a profdiff argument: a directory is a profile
-// ring whose CPU entries are merged via MANIFEST.json; anything else is a
-// single pprof file.
-func loadProfileArg(path string) (*prof.Profile, string, error) {
+// pprofValue parses one `go tool pprof -top` value such as "-290000000ns"
+// or "0": a number followed by its unit.
+func pprofValue(s string) (float64, error) {
+	return strconv.ParseFloat(strings.TrimRightFunc(s, func(r rune) bool { return r < '0' || r > '9' }), 64)
+}
+
+// goToolPprof runs `go tool pprof` with symbolization off (Go's profiles
+// carry their symbols) and returns its standard output.
+func goToolPprof(args ...string) ([]byte, error) {
+	cmd := exec.Command("go", append([]string{"tool", "pprof", "-symbolize=none"}, args...)...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go tool pprof: %v: %s", err, strings.TrimSpace(stderr.String()))
+	}
+	return out, nil
+}
+
+// profileFiles resolves a profdiff argument: a directory is a profile ring
+// whose CPU entries MANIFEST.json lists; anything else is one pprof file.
+func profileFiles(path string) ([]string, string, error) {
 	st, err := os.Stat(path)
 	if err != nil {
 		return nil, "", err
 	}
 	if !st.IsDir() {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, "", err
-		}
-		p, err := prof.Parse(data)
-		if err != nil {
-			return nil, "", err
-		}
-		return p, path, nil
+		return []string{path}, path, nil
 	}
-
 	raw, err := os.ReadFile(filepath.Join(path, "MANIFEST.json"))
 	if err != nil {
 		return nil, "", fmt.Errorf("reading ring manifest: %w", err)
@@ -170,29 +189,16 @@ func loadProfileArg(path string) (*prof.Profile, string, error) {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return nil, "", fmt.Errorf("decoding ring manifest: %w", err)
 	}
-	var profiles []*prof.Profile
+	var files []string
 	for _, e := range doc.Entries {
-		if e.Kind != "cpu" {
-			continue
+		if e.Kind == "cpu" {
+			files = append(files, filepath.Join(path, e.File))
 		}
-		data, err := os.ReadFile(filepath.Join(path, e.File))
-		if err != nil {
-			return nil, "", fmt.Errorf("ring entry %d: %w", e.Seq, err)
-		}
-		p, err := prof.Parse(data)
-		if err != nil {
-			return nil, "", fmt.Errorf("ring entry %d: %w", e.Seq, err)
-		}
-		profiles = append(profiles, p)
 	}
-	if len(profiles) == 0 {
+	if len(files) == 0 {
 		return nil, "", fmt.Errorf("ring holds no cpu profiles")
 	}
-	merged, err := prof.Merge(profiles)
-	if err != nil {
-		return nil, "", err
-	}
-	return merged, fmt.Sprintf("%s (%d cpu slices merged)", path, len(profiles)), nil
+	return files, fmt.Sprintf("%s (%d cpu slices merged)", path, len(files)), nil
 }
 
 // truncFunc shortens long symbol names from the left, keeping the

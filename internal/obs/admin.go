@@ -64,6 +64,14 @@ func ServeAdmin(addr string, reg *Registry, status func() any, extra ...Endpoint
 	return a, nil
 }
 
+// JSONError writes an error as a JSON document so admin-endpoint
+// consumers (oijtop, scripts) never have to parse plain-text bodies.
+func JSONError(w http.ResponseWriter, msg string, code int) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+}
+
 // Addr returns the bound address.
 func (a *Admin) Addr() net.Addr { return a.ln.Addr() }
 

@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,6 +31,7 @@ import (
 	"time"
 
 	"oij/internal/faultfs"
+	"oij/internal/obs"
 	"oij/internal/trace"
 )
 
@@ -45,11 +47,10 @@ type Config struct {
 	// be shorter than Period — the slice/period ratio is the profiler's
 	// duty cycle and therefore its steady-state overhead bound).
 	CPUSlice time.Duration
-	// Retain caps the number of profiles kept on disk (default 32);
-	// MaxBytes caps their total size (default 64 MiB). Oldest-first
-	// eviction, like WAL segment rotation.
-	Retain   int
-	MaxBytes int64
+	// Retain caps the number of profiles kept on disk (default 32); a
+	// 64 MiB byte cap applies too. Oldest-first eviction, like WAL segment
+	// rotation.
+	Retain int
 	// FS overrides the filesystem the ring writes through — the fault
 	// injection seam of the manifest-recovery tests. Nil means the real
 	// filesystem.
@@ -58,15 +59,24 @@ type Config struct {
 	// and every manifest entry records the flight sequence at capture time
 	// so incident dumps and the profiles they triggered cross-reference.
 	Flight *trace.Flight
-	// IncidentMinGap rate-limits incident-triggered captures (default
-	// 10s): a flapping SLO must not turn the profiler into the incident.
-	IncidentMinGap time.Duration
-	// MutexFraction and BlockRateNS set the runtime's mutex/block sampling
-	// rates while the capturer runs (defaults 64 and 1e6; negative leaves
-	// the runtime setting untouched).
-	MutexFraction int
-	BlockRateNS   int
+
+	// In-package tests shrink these (zero means the default below) and
+	// leave the runtime's sampling rates alone.
+	maxBytes         int64
+	incidentMinGap   time.Duration
+	keepRuntimeRates bool
 }
+
+// Settings production never changes: the ring's byte cap, the gap between
+// incident captures (a flapping SLO must not turn the profiler into the
+// incident), and the runtime's mutex/block sampling rates while the
+// capturer runs.
+const (
+	defaultMaxBytes       = 64 << 20
+	defaultIncidentMinGap = 10 * time.Second
+	mutexFraction         = 64
+	blockRateNS           = int(time.Millisecond)
+)
 
 func (c Config) withDefaults() Config {
 	if c.Period <= 0 {
@@ -78,17 +88,11 @@ func (c Config) withDefaults() Config {
 	if c.Retain <= 0 {
 		c.Retain = 32
 	}
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = 64 << 20
+	if c.maxBytes <= 0 {
+		c.maxBytes = defaultMaxBytes
 	}
-	if c.IncidentMinGap <= 0 {
-		c.IncidentMinGap = 10 * time.Second
-	}
-	if c.MutexFraction == 0 {
-		c.MutexFraction = 64
-	}
-	if c.BlockRateNS == 0 {
-		c.BlockRateNS = int(time.Millisecond)
+	if c.incidentMinGap <= 0 {
+		c.incidentMinGap = defaultIncidentMinGap
 	}
 	if c.FS == nil {
 		c.FS = faultfs.OS{}
@@ -186,11 +190,9 @@ func New(cfg Config) (*Capturer, error) {
 	if err := c.loadManifest(); err != nil {
 		return nil, err
 	}
-	if cfg.MutexFraction > 0 {
-		c.prevMutexFrac = runtime.SetMutexProfileFraction(cfg.MutexFraction)
-	}
-	if cfg.BlockRateNS > 0 {
-		runtime.SetBlockProfileRate(cfg.BlockRateNS)
+	if !cfg.keepRuntimeRates {
+		c.prevMutexFrac = runtime.SetMutexProfileFraction(mutexFraction)
+		runtime.SetBlockProfileRate(blockRateNS)
 	}
 	c.wg.Add(1)
 	go c.loop()
@@ -209,10 +211,8 @@ func (c *Capturer) Close() {
 		c.mu.Unlock()
 		close(c.done)
 		c.wg.Wait()
-		if c.cfg.MutexFraction > 0 {
+		if !c.cfg.keepRuntimeRates {
 			runtime.SetMutexProfileFraction(c.prevMutexFrac)
-		}
-		if c.cfg.BlockRateNS > 0 {
 			runtime.SetBlockProfileRate(0)
 		}
 	})
@@ -241,14 +241,15 @@ func (c *Capturer) Stats() Stats {
 	}
 }
 
-// Entries returns a copy of the live manifest, oldest first.
+// Entries returns a copy of the live manifest, oldest first (nil only for
+// a nil Capturer).
 func (c *Capturer) Entries() []Entry {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]Entry(nil), c.entries...)
+	return append([]Entry{}, c.entries...)
 }
 
 // loop is the periodic duty cycle.
@@ -279,7 +280,7 @@ func (c *Capturer) captureRound(reason string, full bool) {
 
 // CaptureNow fires an immediate out-of-cycle capture — the incident hook.
 // It never blocks the caller (collection runs in a goroutine) and is
-// rate-limited by IncidentMinGap so a flapping incident source cannot keep
+// rate-limited to one per 10 s so a flapping incident source cannot keep
 // the CPU profiler pinned on.
 func (c *Capturer) CaptureNow(reason string) {
 	if c == nil {
@@ -287,7 +288,7 @@ func (c *Capturer) CaptureNow(reason string) {
 	}
 	now := time.Now().UnixNano()
 	last := c.lastIncidentNS.Load()
-	if now-last < int64(c.cfg.IncidentMinGap) || !c.lastIncidentNS.CompareAndSwap(last, now) {
+	if now-last < int64(c.cfg.incidentMinGap) || !c.lastIncidentNS.CompareAndSwap(last, now) {
 		return
 	}
 	c.mu.Lock()
@@ -384,10 +385,12 @@ func parseEntryFile(name string) (Entry, bool) {
 	return Entry{Seq: seq, Kind: parts[1], Reason: parts[2], File: name}, true
 }
 
-// store writes one profile into the ring: temp+rename for the profile,
-// oldest-first eviction past the retention caps, then a temp+rename
-// manifest rewrite — the same torn-write discipline as the WAL, verified
-// against faultfs in the tests.
+// store writes one profile into the ring: temp+rename for the profile, a
+// temp+rename manifest rewrite that drops the oldest entries past the
+// retention caps, and only then the removal of their files — so a crash at
+// any point leaves a manifest that lists only files that exist (the
+// unlisted leftovers are swept at the next start), verified against
+// faultfs in the tests.
 func (c *Capturer) store(kind, reason string, data []byte, sliceNS int64) {
 	if len(data) == 0 {
 		return
@@ -417,9 +420,17 @@ func (c *Capturer) store(kind, reason string, data []byte, sliceNS int64) {
 		FlightSeq: flightSeq,
 	})
 	c.bytes += int64(len(data))
-	c.evictLocked()
+	victims := c.evictLocked()
 	if err := c.saveManifestLocked(); err != nil {
+		// The manifest on disk may still list the victims: keep their
+		// files and leave them to the next start's sweep.
 		c.errs.Add(1)
+		victims = nil
+	}
+	for _, v := range victims {
+		if err := c.cfg.FS.Remove(filepath.Join(c.cfg.Dir, v.File)); err != nil {
+			c.errs.Add(1)
+		}
 	}
 	c.captures.Add(1)
 	c.lastCaptureNS.Store(now.UnixNano())
@@ -427,17 +438,18 @@ func (c *Capturer) store(kind, reason string, data []byte, sliceNS int64) {
 	c.cfg.Flight.Record(trace.CompProf, trace.EvProfCapture, seq, uint64(len(data)))
 }
 
-// evictLocked drops oldest entries while either retention cap is exceeded.
-func (c *Capturer) evictLocked() {
-	for (len(c.entries) > c.cfg.Retain || c.bytes > c.cfg.MaxBytes) && len(c.entries) > 1 {
-		victim := c.entries[0]
-		c.entries = c.entries[1:]
-		c.bytes -= victim.Bytes
-		if err := c.cfg.FS.Remove(filepath.Join(c.cfg.Dir, victim.File)); err != nil {
-			c.errs.Add(1)
-		}
-		c.evictions.Add(1)
+// evictLocked drops oldest entries while either retention cap is exceeded
+// and returns them; their files are still on disk.
+func (c *Capturer) evictLocked() []Entry {
+	n := 0
+	for (len(c.entries)-n > c.cfg.Retain || c.bytes > c.cfg.maxBytes) && len(c.entries)-n > 1 {
+		c.bytes -= c.entries[n].Bytes
+		n++
 	}
+	victims := c.entries[:n:n]
+	c.entries = c.entries[n:]
+	c.evictions.Add(uint64(n))
+	return victims
 }
 
 func (c *Capturer) saveManifestLocked() error {
@@ -452,32 +464,43 @@ func (c *Capturer) saveManifestLocked() error {
 // loadManifest restores ring state at startup. A missing manifest is a
 // fresh ring; an unparsable one (torn write, bit rot) falls back to a
 // directory scan — the profile filenames are self-describing, so the index
-// is rebuilt from what actually survived, exactly like WAL salvage.
+// is rebuilt from what actually survived, exactly like WAL salvage. Profile
+// files a parsable manifest does not list are what a crash mid-store left
+// (an evicted victim, or a profile whose manifest rewrite never landed);
+// nothing would ever evict them, so they are removed.
 func (c *Capturer) loadManifest() error {
-	path := filepath.Join(c.cfg.Dir, manifestName)
-	r, err := c.cfg.FS.Open(path)
+	files, err := c.ringFiles()
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil
-		}
-		return fmt.Errorf("prof: manifest: %w", err)
+		return err
 	}
-	data, rerr := io.ReadAll(r)
-	r.Close()
 	var doc manifestDoc
-	if rerr == nil && json.Unmarshal(data, &doc) == nil && doc.NextSeq >= uint64(len(doc.Entries)) {
-		c.entries = doc.Entries
-		c.nextSeq = doc.NextSeq
-		for _, e := range c.entries {
-			c.bytes += e.Bytes
+	r, err := c.cfg.FS.Open(filepath.Join(c.cfg.Dir, manifestName))
+	switch {
+	case errors.Is(err, fs.ErrNotExist): // a fresh ring
+	case err != nil:
+		return fmt.Errorf("prof: manifest: %w", err)
+	default:
+		data, rerr := io.ReadAll(r)
+		r.Close()
+		if rerr != nil || json.Unmarshal(data, &doc) != nil || doc.NextSeq < uint64(len(doc.Entries)) {
+			return c.recoverByScan(files)
 		}
-		return nil
 	}
-	return c.recoverByScan()
+	c.entries = doc.Entries
+	c.nextSeq = doc.NextSeq
+	for _, e := range c.entries {
+		c.bytes += e.Bytes
+	}
+	for _, f := range files {
+		if !slices.ContainsFunc(c.entries, func(e Entry) bool { return e.File == f.File }) {
+			c.cfg.FS.Remove(filepath.Join(c.cfg.Dir, f.File))
+		}
+	}
+	return nil
 }
 
-// recoverByScan rebuilds the manifest from the ring directory contents.
-func (c *Capturer) recoverByScan() error {
+// ringFiles lists the profile files in the ring directory.
+func (c *Capturer) ringFiles() ([]Entry, error) {
 	var names []string
 	if lister, ok := c.cfg.FS.(interface{ Names() []string }); ok {
 		prefix := c.cfg.Dir + string(filepath.Separator)
@@ -489,7 +512,7 @@ func (c *Capturer) recoverByScan() error {
 	} else {
 		des, err := os.ReadDir(c.cfg.Dir)
 		if err != nil {
-			return fmt.Errorf("prof: recover: %w", err)
+			return nil, fmt.Errorf("prof: ring dir: %w", err)
 		}
 		for _, de := range des {
 			if !de.IsDir() {
@@ -497,14 +520,21 @@ func (c *Capturer) recoverByScan() error {
 			}
 		}
 	}
+	var files []Entry
 	for _, n := range names {
-		e, ok := parseEntryFile(n)
-		if !ok {
-			continue
+		if e, ok := parseEntryFile(n); ok {
+			files = append(files, e)
 		}
+	}
+	return files, nil
+}
+
+// recoverByScan rebuilds the manifest from the ring's profile files.
+func (c *Capturer) recoverByScan(files []Entry) error {
+	for _, e := range files {
 		// Size via the append seam (it reports current length) so the Mem
 		// fault filesystem needs no extra stat surface.
-		f, size, err := c.cfg.FS.OpenAppend(filepath.Join(c.cfg.Dir, n))
+		f, size, err := c.cfg.FS.OpenAppend(filepath.Join(c.cfg.Dir, e.File))
 		if err != nil {
 			continue
 		}
@@ -521,47 +551,6 @@ func (c *Capturer) recoverByScan() error {
 	return c.saveManifestLocked()
 }
 
-// readProfile loads one stored profile's bytes.
-func (c *Capturer) readProfile(name string) ([]byte, error) {
-	r, err := c.cfg.FS.Open(filepath.Join(c.cfg.Dir, name))
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return io.ReadAll(r)
-}
-
-// MergedSince parses and merges every stored profile of kind captured at
-// or after sinceUnix (0 = all), returning the re-encoded pprof bytes.
-func (c *Capturer) MergedSince(kind string, sinceUnix int64) ([]byte, error) {
-	var picks []Entry
-	for _, e := range c.Entries() {
-		if e.Kind == kind && e.CreatedNS >= sinceUnix*int64(time.Second) {
-			picks = append(picks, e)
-		}
-	}
-	if len(picks) == 0 {
-		return nil, fmt.Errorf("prof: no %s profiles in window", kind)
-	}
-	var ps []*Profile
-	for _, e := range picks {
-		raw, err := c.readProfile(e.File)
-		if err != nil {
-			return nil, err
-		}
-		p, err := Parse(raw)
-		if err != nil {
-			return nil, fmt.Errorf("prof: %s: %w", e.File, err)
-		}
-		ps = append(ps, p)
-	}
-	merged, err := Merge(ps)
-	if err != nil {
-		return nil, err
-	}
-	return merged.Encode(), nil
-}
-
 // profilezDoc is the /profilez JSON document.
 type profilezDoc struct {
 	Dir     string  `json:"dir"`
@@ -572,52 +561,44 @@ type profilezDoc struct {
 }
 
 // ServeHTTP is the /profilez endpoint: the JSON manifest by default,
-// ?id=SEQ fetches one stored profile, ?merged=cpu[&since=unixsec] returns
-// a pprof-merged window, and POST ?capture=reason forces a synchronous
-// capture round (handy in tests and incident response).
+// ?id=SEQ fetches one stored profile, and POST ?capture=reason forces a
+// synchronous capture round (handy in tests and incident response). Any
+// other query key is a 400: merging a window of profiles is `go tool
+// pprof`'s job, on files fetched with ?id=.
 func (c *Capturer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
+	for key := range q {
+		if key != "id" && key != "capture" {
+			obs.JSONError(w, fmt.Sprintf("query key %q is not served: fetch profiles with ?id=SEQ "+
+				"and merge a window with `go tool pprof -proto`", key), http.StatusBadRequest)
+			return
+		}
+	}
 	switch {
 	case q.Has("id"):
 		seq, err := strconv.ParseUint(q.Get("id"), 10, 64)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad id %q", q.Get("id")))
+			obs.JSONError(w, fmt.Sprintf("bad id %q", q.Get("id")), http.StatusBadRequest)
 			return
 		}
 		for _, e := range c.Entries() {
 			if e.Seq == seq {
-				data, err := c.readProfile(e.File)
+				f, err := c.cfg.FS.Open(filepath.Join(c.cfg.Dir, e.File))
 				if err != nil {
-					httpError(w, http.StatusInternalServerError, err.Error())
+					obs.JSONError(w, err.Error(), http.StatusInternalServerError)
 					return
 				}
+				defer f.Close()
 				w.Header().Set("Content-Type", "application/octet-stream")
 				w.Header().Set("Content-Disposition", `attachment; filename="`+e.File+`"`)
-				w.Write(data)
+				io.Copy(w, f)
 				return
 			}
 		}
-		httpError(w, http.StatusNotFound, fmt.Sprintf("no profile with seq %d", seq))
-	case q.Has("merged"):
-		var since int64
-		if v := q.Get("since"); v != "" {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Sprintf("bad since %q", v))
-				return
-			}
-			since = n
-		}
-		data, err := c.MergedSince(q.Get("merged"), since)
-		if err != nil {
-			httpError(w, http.StatusNotFound, err.Error())
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(data)
+		obs.JSONError(w, fmt.Sprintf("no profile with seq %d", seq), http.StatusNotFound)
 	case q.Has("capture"):
 		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "capture requires POST")
+			obs.JSONError(w, "capture requires POST", http.StatusMethodNotAllowed)
 			return
 		}
 		reason := q.Get("capture")
@@ -632,21 +613,12 @@ func (c *Capturer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		doc := profilezDoc{
 			Dir:     c.cfg.Dir,
 			Retain:  c.cfg.Retain,
-			MaxByte: c.cfg.MaxBytes,
+			MaxByte: c.cfg.maxBytes,
 			Stats:   c.Stats(),
 			Entries: c.Entries(),
-		}
-		if doc.Entries == nil {
-			doc.Entries = []Entry{}
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(doc)
 	}
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }

@@ -3,6 +3,9 @@ package prof
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,13 +20,12 @@ import (
 func newTestCapturer(t *testing.T, mem *faultfs.Mem, mut func(*Config)) *Capturer {
 	t.Helper()
 	cfg := Config{
-		Dir:            "ring",
-		Period:         time.Hour,
-		CPUSlice:       20 * time.Millisecond,
-		FS:             mem,
-		IncidentMinGap: time.Nanosecond,
-		MutexFraction:  -1, // leave runtime sampling rates alone in tests
-		BlockRateNS:    -1,
+		Dir:              "ring",
+		Period:           time.Hour,
+		CPUSlice:         20 * time.Millisecond,
+		FS:               mem,
+		incidentMinGap:   time.Nanosecond,
+		keepRuntimeRates: true,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -108,7 +110,7 @@ func TestRetentionEvictionOrder(t *testing.T) {
 
 func TestRetentionByBytes(t *testing.T) {
 	mem := faultfs.NewMem()
-	c := newTestCapturer(t, mem, func(cfg *Config) { cfg.Retain = 100; cfg.MaxBytes = 64 })
+	c := newTestCapturer(t, mem, func(cfg *Config) { cfg.Retain = 100; cfg.maxBytes = 64 })
 	for i := 0; i < 4; i++ {
 		c.store("heap", "periodic", []byte(strings.Repeat("y", 30)), 0)
 	}
@@ -183,6 +185,63 @@ func TestTornTempProfileReplaced(t *testing.T) {
 	}
 }
 
+// TestEvictionCrashPointSweep crashes a Retain=1 ring at every filesystem
+// operation of a store that evicts, restarts on what survived, and checks
+// that the manifest lists only profiles that exist, that no profile file
+// is left outside the manifest, and that /profilez?id= serves each entry.
+func TestEvictionCrashPointSweep(t *testing.T) {
+	retain1 := func(cfg *Config) { cfg.Retain = 1 }
+	seed := func() *faultfs.Mem {
+		mem := faultfs.NewMem()
+		c := newTestCapturer(t, mem, retain1)
+		c.store("heap", "periodic", []byte("first"), 0)
+		c.Close()
+		return mem
+	}
+	dry := seed()
+	before := dry.Ops()
+	newTestCapturer(t, dry, retain1).store("heap", "periodic", []byte("second"), 0)
+	ops := dry.Ops() - before
+	if ops < 5 {
+		t.Fatalf("an evicting store took only %d ops — sweep degenerate", ops)
+	}
+
+	for k := 1; k <= ops; k++ {
+		mem := seed()
+		mem.CrashAt(mem.Ops() + k)
+		c := newTestCapturer(t, mem, retain1)
+		c.store("heap", "periodic", []byte("second"), 0)
+		c.Close()
+
+		// Restart: the files the crashed process left, with a working disk.
+		disk := faultfs.NewMem()
+		for _, n := range mem.Names() {
+			disk.Put(n, mem.Bytes(n))
+		}
+		c2 := newTestCapturer(t, disk, retain1)
+		listed := map[string]bool{}
+		for _, e := range c2.Entries() {
+			listed["ring/"+e.File] = true
+			if disk.Bytes("ring/"+e.File) == nil {
+				t.Fatalf("crash at op +%d: manifest lists missing %s", k, e.File)
+			}
+			rec := httptest.NewRecorder()
+			c2.ServeHTTP(rec, httptest.NewRequest("GET", "/profilez?id="+itoa(e.Seq), nil))
+			if rec.Code != 200 {
+				t.Fatalf("crash at op +%d: ?id=%d: %d %s", k, e.Seq, rec.Code, rec.Body)
+			}
+		}
+		if len(listed) != 1 {
+			t.Fatalf("crash at op +%d: %d entries after restart, want 1", k, len(listed))
+		}
+		for _, n := range disk.Names() {
+			if strings.HasSuffix(n, ".pprof") && !listed[n] {
+				t.Fatalf("crash at op +%d: %s left outside the manifest", k, n)
+			}
+		}
+	}
+}
+
 func TestManifestMissingIsFreshRing(t *testing.T) {
 	c := newTestCapturer(t, faultfs.NewMem(), nil)
 	if len(c.Entries()) != 0 || c.Stats().Recovered != 0 {
@@ -229,7 +288,7 @@ func TestCaptureNowRecordsFlight(t *testing.T) {
 
 func TestCaptureNowRateLimited(t *testing.T) {
 	mem := faultfs.NewMem()
-	c := newTestCapturer(t, mem, func(cfg *Config) { cfg.IncidentMinGap = time.Hour })
+	c := newTestCapturer(t, mem, func(cfg *Config) { cfg.incidentMinGap = time.Hour })
 	c.CaptureNow("stall-watchdog")
 	c.CaptureNow("stall-watchdog")
 	c.CaptureNow("stall-watchdog")
@@ -295,21 +354,7 @@ func TestProfilezEndpoint(t *testing.T) {
 	if rec.Code != 200 || int64(rec.Body.Len()) != cpu.Bytes {
 		t.Fatalf("fetch by id: code %d, %d bytes (want %d)", rec.Code, rec.Body.Len(), cpu.Bytes)
 	}
-	if _, err := Parse(rec.Body.Bytes()); err != nil {
-		t.Fatalf("fetched cpu profile unparsable: %v", err)
-	}
-
-	// Merged window across two captures.
-	rec = httptest.NewRecorder()
-	c.ServeHTTP(rec, httptest.NewRequest("POST", "/profilez?capture=manual2", nil))
-	rec = httptest.NewRecorder()
-	c.ServeHTTP(rec, httptest.NewRequest("GET", "/profilez?merged=cpu&since=0", nil))
-	if rec.Code != 200 {
-		t.Fatalf("merged: %d %s", rec.Code, rec.Body)
-	}
-	if _, err := Parse(rec.Body.Bytes()); err != nil {
-		t.Fatalf("merged profile unparsable: %v", err)
-	}
+	requirePprof(t, "fetched cpu profile", rec.Body.Bytes())
 
 	// Error paths.
 	for _, url := range []string{"/profilez?id=xyz", "/profilez?id=9999", "/profilez?merged=cpu&since=zzz", "/profilez?merged=nosuch"} {
@@ -323,6 +368,23 @@ func TestProfilezEndpoint(t *testing.T) {
 	c.ServeHTTP(rec, httptest.NewRequest("GET", "/profilez?capture=x", nil))
 	if rec.Code != 405 {
 		t.Fatalf("GET capture: want 405, got %d", rec.Code)
+	}
+
+	// Keys the endpoint does not serve are 400s that name the key; a
+	// merged window points at ?id= and the toolchain's merge.
+	for url, want := range map[string][]string{
+		"/profilez?merged=cpu": {"?id=", "go tool pprof"},
+		"/profilez?bogus=1":    {`"bogus"`},
+	} {
+		rec = httptest.NewRecorder()
+		c.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		var body struct{ Error string }
+		json.Unmarshal(rec.Body.Bytes(), &body)
+		for _, w := range want {
+			if rec.Code != 400 || !strings.Contains(body.Error, w) {
+				t.Fatalf("%s: want 400 naming %s, got %d %s", url, w, rec.Code, rec.Body)
+			}
+		}
 	}
 }
 
@@ -349,6 +411,18 @@ func TestSanitizeReason(t *testing.T) {
 		if got := sanitizeReason(in); got != want {
 			t.Fatalf("sanitizeReason(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// requirePprof fails the test unless `go tool pprof` parses data.
+func requirePprof(t *testing.T, what string, data []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "profile.pprof")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := exec.Command("go", "tool", "pprof", "-raw", "-symbolize=none", path).CombinedOutput(); err != nil {
+		t.Fatalf("%s unparsable by go tool pprof: %v\n%s", what, err, out)
 	}
 }
 

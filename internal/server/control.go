@@ -17,6 +17,7 @@ import (
 
 	"oij/internal/control"
 	"oij/internal/metrics"
+	"oij/internal/obs"
 )
 
 // activeJoiners returns the engine's live active joiner count (the routing
@@ -117,11 +118,11 @@ func (s *Server) serveControlz(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 	case http.MethodPost:
 		if err := s.controlzPost(r); err != nil {
-			httpJSONError(w, err.Error(), http.StatusBadRequest)
+			obs.JSONError(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 	default:
-		httpJSONError(w, fmt.Sprintf("method %s not allowed", r.Method), http.StatusMethodNotAllowed)
+		obs.JSONError(w, fmt.Sprintf("method %s not allowed", r.Method), http.StatusMethodNotAllowed)
 		return
 	}
 	snap := s.ctl.Snapshot()

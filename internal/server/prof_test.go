@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +18,7 @@ import (
 
 // TestProfilingEndToEnd runs a server with the continuous profiler on a
 // fast duty cycle and checks the whole surface: the ring fills, /profilez
-// serves the manifest / raw profiles / merged windows, the profiling and
+// serves the manifest and raw profiles, the profiling and
 // runtime-health series ride /metrics and /timeline, and the exact
 // per-stage allocation counters advance with traffic.
 func TestProfilingEndToEnd(t *testing.T) {
@@ -46,8 +49,7 @@ func TestProfilingEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wait for at least two periodic rounds so a merged window has
-	// multiple CPU slices to fold.
+	// Wait for at least two periodic rounds.
 	deadline := time.Now().Add(10 * time.Second)
 	for srv.prof.Stats().Captures < 8 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
@@ -85,15 +87,8 @@ func TestProfilingEndToEnd(t *testing.T) {
 		t.Fatal("no cpu entry")
 	}
 
-	// Fetch one profile and the merged CPU window; both must parse.
-	raw := scrape(t, fmt.Sprintf("%s/profilez?id=%d", base, cpuSeq))
-	if _, err := prof.Parse([]byte(raw)); err != nil {
-		t.Fatalf("fetched profile unparsable: %v", err)
-	}
-	merged := scrape(t, base+"/profilez?merged=cpu&since=0")
-	if _, err := prof.Parse([]byte(merged)); err != nil {
-		t.Fatalf("merged profile unparsable: %v", err)
-	}
+	// Fetch one profile; it must parse.
+	requirePprof(t, "fetched profile", []byte(scrape(t, fmt.Sprintf("%s/profilez?id=%d", base, cpuSeq))))
 
 	// Profiling, runtime-health, and stage-alloc series on /metrics.
 	m := scrape(t, base+"/metrics")
@@ -156,6 +151,18 @@ func TestProfilingEndToEnd(t *testing.T) {
 	}
 	if len(tdoc.Series) != 3 {
 		t.Fatalf("timeline series: %s", tl)
+	}
+}
+
+// requirePprof fails the test unless `go tool pprof` parses data.
+func requirePprof(t *testing.T, what string, data []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "profile.pprof")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := exec.Command("go", "tool", "pprof", "-raw", "-symbolize=none", path).CombinedOutput(); err != nil {
+		t.Fatalf("%s unparsable by go tool pprof: %v\n%s", what, err, out)
 	}
 }
 

@@ -132,9 +132,6 @@ type Config struct {
 	ProfileCPUSlice time.Duration
 	// ProfileRetain caps how many profiles the ring keeps (default 32).
 	ProfileRetain int
-	// ProfileFS overrides the profile ring's filesystem (fault-injection
-	// tests); nil uses the real one.
-	ProfileFS faultfs.FS
 	// HotKeysK is the per-joiner slot count of the SpaceSaving hot-key
 	// sketches on the ingest path (default 16; negative disables hot-key
 	// analytics). Any key above a 1/K share of its joiner's stream is
@@ -468,7 +465,6 @@ func New(cfg Config) (*Server, error) {
 			Period:   cfg.ProfilePeriod,
 			CPUSlice: cfg.ProfileCPUSlice,
 			Retain:   cfg.ProfileRetain,
-			FS:       cfg.ProfileFS,
 			Flight:   s.flight,
 		})
 		if err != nil {
@@ -677,14 +673,14 @@ func (s *Server) serveTimeline(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("since"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			httpJSONError(w, fmt.Sprintf("bad since %q: %v", v, err), http.StatusBadRequest)
+			obs.JSONError(w, fmt.Sprintf("bad since %q: %v", v, err), http.StatusBadRequest)
 			return
 		}
 		since = n
 	}
 	doc, err := s.o.timeline.Query(series, q.Get("res"), since)
 	if err != nil {
-		httpJSONError(w, err.Error(), http.StatusBadRequest)
+		obs.JSONError(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -692,10 +688,10 @@ func (s *Server) serveTimeline(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveProfilez exposes the continuous profiler's ring (manifest, profile
-// fetch, merged windows). 404 when profiling is disabled.
+// fetch, manual capture). 404 when profiling is disabled.
 func (s *Server) serveProfilez(w http.ResponseWriter, r *http.Request) {
 	if s.prof == nil {
-		httpJSONError(w, "profiling disabled (start with a profile dir)", http.StatusNotFound)
+		obs.JSONError(w, "profiling disabled (start with a profile dir)", http.StatusNotFound)
 		return
 	}
 	s.prof.ServeHTTP(w, r)
@@ -708,14 +704,6 @@ func (s *Server) serveProfilez(w http.ResponseWriter, r *http.Request) {
 func (s *Server) incident(reason string) {
 	s.flight.AutoDump(reason)
 	s.prof.CaptureNow(reason)
-}
-
-// httpJSONError writes an error as a JSON document so /timeline consumers
-// (oijtop, scripts) never have to parse plain-text bodies.
-func httpJSONError(w http.ResponseWriter, msg string, code int) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
 // AdminAddr returns the bound admin address, or nil when no admin endpoint
