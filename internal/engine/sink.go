@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"oij/internal/metrics"
+	"oij/internal/obs"
 	"oij/internal/tuple"
 )
 
@@ -64,8 +64,9 @@ func (s *CollectSink) ByBaseSeq() map[uint64]tuple.Result {
 }
 
 // LatencySink records per-result latency (now − base-tuple arrival) into
-// per-joiner recorders, keeping the hot path lock-free. Results without an
-// arrival stamp are counted but not timed.
+// one obs.Histogram per joiner, so the hot path is a lock-free bucket add
+// in memory fixed at construction. Results without an arrival stamp are
+// counted but not timed.
 //
 // The base tuple's wall-clock arrival is not carried inside Result (results
 // may be emitted long after and by another joiner than the one that queued
@@ -73,41 +74,32 @@ func (s *CollectSink) ByBaseSeq() map[uint64]tuple.Result {
 // Record with the latency of every base that carries an arrival stamp. To
 // keep the Sink interface minimal, plain Emit just counts.
 type LatencySink struct {
-	recs []*metrics.LatencyRecorder
-	n    atomic.Int64
+	hists []obs.Histogram
+	n     atomic.Int64
 }
 
-// NewLatencySink sizes per-joiner recorders that retain every sample
-// (bounded replays only — see NewLatencySinkCapped for servers).
-func NewLatencySink(joiners, capacity int) *LatencySink {
-	s := &LatencySink{recs: make([]*metrics.LatencyRecorder, joiners)}
-	for i := range s.recs {
-		s.recs[i] = metrics.NewLatencyRecorder(capacity)
-	}
-	return s
-}
-
-// NewLatencySinkCapped bounds each per-joiner recorder at max samples via
-// deterministic reservoir sampling (each shard seeded from seed), so the
-// sink is safe on unbounded-duration serving paths.
-func NewLatencySinkCapped(joiners, max int, seed uint64) *LatencySink {
-	s := &LatencySink{recs: make([]*metrics.LatencyRecorder, joiners)}
-	for i := range s.recs {
-		s.recs[i] = metrics.NewReservoirRecorder(max, seed+uint64(i)*0x9e3779b97f4a7c15)
-	}
-	return s
+// NewLatencySink builds one histogram shard per joiner.
+func NewLatencySink(joiners int) *LatencySink {
+	return &LatencySink{hists: make([]obs.Histogram, joiners)}
 }
 
 // Emit implements Sink (counts only).
 func (s *LatencySink) Emit(_ int, _ tuple.Result) { s.n.Add(1) }
 
-// Record logs one latency observation for a joiner.
+// Record logs one latency observation for a joiner (that joiner's
+// goroutine only: each shard has a single writer).
 func (s *LatencySink) Record(joiner int, d time.Duration) {
-	s.recs[joiner].Record(d)
+	s.hists[joiner].Observe(int64(d))
 }
 
-// CDF merges per-joiner recorders (call after Drain).
-func (s *LatencySink) CDF() metrics.CDF { return metrics.MergeCDF(s.recs...) }
+// Snapshot merges the per-joiner shards, in ns. Safe while joiners record.
+func (s *LatencySink) Snapshot() *obs.HistSnapshot {
+	snap := &obs.HistSnapshot{}
+	for i := range s.hists {
+		snap.Merge(&s.hists[i])
+	}
+	return snap
+}
 
 // Count returns the number of results seen.
 func (s *LatencySink) Count() int64 { return s.n.Load() }

@@ -87,17 +87,12 @@ type RunConfig struct {
 	// semantics the paper benchmarks).
 	Mode engine.EmitMode
 	// Paced replays at Workload.ArrivalRate instead of full speed
-	// (required for meaningful latency CDFs; ArrivalRate 0 still runs
+	// (required for meaningful latency quantiles; ArrivalRate 0 still runs
 	// unpaced).
 	Paced bool
-	// MeasureLatency stamps base tuples and collects a latency CDF.
+	// MeasureLatency stamps base tuples and records their result latency
+	// into a histogram.
 	MeasureLatency bool
-	// MaxLatencySamples caps per-joiner latency retention with
-	// deterministic reservoir sampling (seeded by LatencySeed). 0 retains
-	// every sample — fine for bounded replays, not for endless streams.
-	MaxLatencySamples int
-	// LatencySeed seeds the reservoir PRNG when MaxLatencySamples > 0.
-	LatencySeed uint64
 	// Instrument enables breakdown + effectiveness accounting.
 	Instrument bool
 	// UtilEpoch, when > 0, samples per-joiner utilization at this epoch
@@ -119,7 +114,7 @@ type RunResult struct {
 	Elapsed        time.Duration
 	Throughput     float64 // input tuples per second
 	Results        int64
-	CDF            metrics.CDF // populated with MeasureLatency
+	Latency        *obs.HistSnapshot // ns; populated with MeasureLatency
 	Breakdown      metrics.Breakdown
 	Effectiveness  float64
 	Unbalancedness float64
@@ -149,11 +144,7 @@ func Run(rc RunConfig) (RunResult, error) {
 	var sink engine.Sink
 	var lat *engine.LatencySink
 	if rc.MeasureLatency {
-		if rc.MaxLatencySamples > 0 {
-			lat = engine.NewLatencySinkCapped(rc.Joiners, rc.MaxLatencySamples, rc.LatencySeed)
-		} else {
-			lat = engine.NewLatencySink(rc.Joiners, len(tuples)/2+1)
-		}
+		lat = engine.NewLatencySink(rc.Joiners)
 		sink = lat
 	} else {
 		sink = &engine.CountSink{}
@@ -242,7 +233,7 @@ func Run(rc RunConfig) (RunResult, error) {
 		res.Effectiveness = st.MergedEffectiveness()
 	}
 	if lat != nil {
-		res.CDF = lat.CDF()
+		res.Latency = lat.Snapshot()
 	}
 	return res, nil
 }

@@ -1,7 +1,7 @@
 // Package metrics implements the measurements the paper reports: throughput
-// (§III-B), latency CDFs (§III-B), the lookup/match/other time breakdown
-// (Fig. 6), effectiveness (Eq. 1), unbalancedness (Eq. 2), and the
-// per-joiner utilization trace behind Fig. 14.
+// (§III-B), the lookup/match/other time breakdown (Fig. 6), effectiveness
+// (Eq. 1), unbalancedness (Eq. 2), and the per-joiner utilization trace
+// behind Fig. 14. Latency quantiles come from obs.Histogram.
 package metrics
 
 import (
@@ -100,118 +100,11 @@ func Unbalancedness(loads []float64) float64 {
 	return math.Sqrt(ss/float64(len(loads))) / mu
 }
 
-// LatencyRecorder collects per-result latencies for one joiner (so the hot
-// path stays lock-free) and renders CDFs after the run. Latencies are
-// recorded in nanoseconds.
-//
-// An uncapped recorder retains every sample — fine for bounded benchmark
-// replays, fatal for a long-running server. NewReservoirRecorder caps
-// memory with reservoir sampling (Algorithm R): every observation has an
-// equal probability of being retained, so quantiles stay unbiased while
-// the buffer never grows past the cap. The PRNG is a deterministic
-// seedable splitmix64 so capped runs are reproducible.
-type LatencyRecorder struct {
-	samples []int64
-	cap     int    // 0 = unbounded
-	seen    int64  // total observations, including evicted ones
-	rng     uint64 // splitmix64 state (capped mode only)
-}
-
-// NewLatencyRecorder pre-sizes the sample buffer; it retains every sample
-// (use NewReservoirRecorder on unbounded-duration paths).
-func NewLatencyRecorder(capacity int) *LatencyRecorder {
-	return &LatencyRecorder{samples: make([]int64, 0, capacity)}
-}
-
-// NewReservoirRecorder retains at most max samples via reservoir sampling
-// with the given PRNG seed.
-func NewReservoirRecorder(max int, seed uint64) *LatencyRecorder {
-	if max < 1 {
-		max = 1
-	}
-	return &LatencyRecorder{samples: make([]int64, 0, max), cap: max, rng: seed}
-}
-
-// Record adds one latency observation.
-func (r *LatencyRecorder) Record(d time.Duration) {
-	r.seen++
-	if r.cap <= 0 || len(r.samples) < cap(r.samples) {
-		r.samples = append(r.samples, int64(d))
-		return
-	}
-	// Algorithm R: replace a uniformly random slot with probability
-	// cap/seen, so every observation is retained with equal probability.
-	if k := r.next() % uint64(r.seen); k < uint64(r.cap) {
-		r.samples[k] = int64(d)
-	}
-}
-
-// next steps the splitmix64 PRNG.
-func (r *LatencyRecorder) next() uint64 {
-	r.rng += 0x9e3779b97f4a7c15
-	z := r.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Len returns the number of retained samples.
-func (r *LatencyRecorder) Len() int { return len(r.samples) }
-
-// Seen returns the number of observations, including ones the reservoir
-// evicted.
-func (r *LatencyRecorder) Seen() int64 { return r.seen }
-
-// CDF summarises a latency distribution.
-type CDF struct {
-	Sorted []int64 // ascending latencies in ns
-}
-
-// MergeCDF builds a CDF from several per-joiner recorders.
-func MergeCDF(recs ...*LatencyRecorder) CDF {
-	total := 0
-	for _, r := range recs {
-		total += len(r.samples)
-	}
-	all := make([]int64, 0, total)
-	for _, r := range recs {
-		all = append(all, r.samples...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	return CDF{Sorted: all}
-}
-
-// Quantile returns the nearest-rank q-quantile (0 <= q <= 1) latency: the
-// smallest sample with at least a q fraction of samples at or below it.
-// (The former int(q*(len-1)) indexing floored, biasing high quantiles low
-// on small sample sets — e.g. p99 of 100 samples returned rank 99 of 100.)
-func (c CDF) Quantile(q float64) time.Duration {
-	n := len(c.Sorted)
-	if n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return time.Duration(c.Sorted[0])
-	}
-	if q >= 1 {
-		return time.Duration(c.Sorted[n-1])
-	}
-	rank := int(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return time.Duration(c.Sorted[rank-1])
-}
-
 // Summary describes a small set of repeated measurements (e.g. the
 // per-cell throughput samples of a benchmark sweep) by its nearest-rank
-// quartiles — the statistics the perf regression gate compares. Quartiles
-// use the same nearest-rank convention as CDF.Quantile, so with very few
-// repeats Q1 and Q3 degrade gracefully toward the sample extremes and the
-// interquartile range covers the whole observed spread.
+// quartiles — the statistics the perf regression gate compares. With very
+// few repeats Q1 and Q3 degrade gracefully toward the sample extremes and
+// the interquartile range covers the whole observed spread.
 type Summary struct {
 	N      int
 	Min    float64
@@ -313,22 +206,11 @@ type Utilization struct {
 	epoch   time.Duration
 	busy    []time.Duration
 	history [][]float64
-	limit   int // 0 = unbounded history (batch runs)
 }
 
 // NewUtilization tracks n joiners with the given epoch length.
 func NewUtilization(n int, epoch time.Duration) *Utilization {
 	return &Utilization{epoch: epoch, busy: make([]time.Duration, n)}
-}
-
-// LimitHistory keeps only the newest n epochs (0 restores unbounded
-// retention). Long-running servers sample forever; an unbounded history
-// would be the same leak the reservoir recorder fixes.
-func (u *Utilization) LimitHistory(n int) {
-	u.limit = n
-	if n > 0 && len(u.history) > n {
-		u.history = append(u.history[:0], u.history[len(u.history)-n:]...)
-	}
 }
 
 // AddBusy accounts busy-time d to joiner i during the current epoch. Only
@@ -338,27 +220,18 @@ func (u *Utilization) AddBusy(i int, d time.Duration) { u.busy[i] += d }
 
 // Snapshot closes the current epoch: it appends each joiner's utilization
 // (busy/epoch, capped at 1) to the history and zeroes the counters.
-func (u *Utilization) Snapshot() []float64 { return u.SnapshotOver(u.epoch) }
-
-// SnapshotOver closes the current epoch against the actual elapsed
-// duration — live samplers tick on the wall clock, which jitters, so the
-// denominator is measured rather than nominal.
-func (u *Utilization) SnapshotOver(epoch time.Duration) []float64 {
+func (u *Utilization) Snapshot() []float64 {
 	row := make([]float64, len(u.busy))
 	for i, b := range u.busy {
 		var f float64
-		if epoch > 0 {
-			f = float64(b) / float64(epoch)
+		if u.epoch > 0 {
+			f = float64(b) / float64(u.epoch)
 		}
 		if f > 1 {
 			f = 1
 		}
 		row[i] = f
 		u.busy[i] = 0
-	}
-	if u.limit > 0 && len(u.history) >= u.limit {
-		copy(u.history, u.history[len(u.history)-u.limit+1:])
-		u.history = u.history[:u.limit-1]
 	}
 	u.history = append(u.history, row)
 	return row

@@ -78,14 +78,12 @@ func NewCollector(r *Registry) *Collector {
 		v := v
 		// Interval quantiles share one delta snapshot per tick: the first
 		// of the three sources computes it, the others read it.
-		var prev, delta HistSnapshot
+		prev := &HistSnapshot{}
+		var delta *HistSnapshot
 		tick := func() {
 			cur := v.Snapshot()
-			delta = HistSnapshot{N: cur.N - prev.N, Sum: cur.Sum - prev.Sum, Max: cur.Max}
-			for i := range cur.Counts {
-				delta.Counts[i] = cur.Counts[i] - prev.Counts[i]
-			}
-			prev = *cur
+			delta = cur.Sub(prev)
+			prev = cur
 		}
 		add(v.name+SuffixP50, func(time.Duration) float64 {
 			tick()

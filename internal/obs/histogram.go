@@ -1,7 +1,8 @@
 // Log-bucketed streaming histogram (HDR-style): fixed allocation, bounded
 // relative error, lock-free single-writer recording with concurrent
-// snapshot reads. It replaces unbounded sample retention on the serving
-// path while still rendering the paper's latency CDF quantiles (§III-B).
+// snapshot reads. It is the one latency distribution in the repository:
+// oijd, the paper harness and the scenario simulator all read the paper's
+// latency quantiles (§III-B) from it.
 package obs
 
 import (
@@ -112,6 +113,18 @@ func (s *HistSnapshot) Merge(h *Histogram) {
 	if m := h.max.Load(); m > s.Max {
 		s.Max = m
 	}
+}
+
+// Sub returns the samples recorded between prev and s — both snapshots of
+// the same histograms, prev the earlier — so interval quantiles come from
+// bucket-count deltas. Max stays s.Max (an upper bound of the interval's
+// maximum: the buckets do not record when a maximum was reached).
+func (s *HistSnapshot) Sub(prev *HistSnapshot) *HistSnapshot {
+	d := &HistSnapshot{N: s.N - prev.N, Sum: s.Sum - prev.Sum, Max: s.Max}
+	for i := range s.Counts {
+		d.Counts[i] = s.Counts[i] - prev.Counts[i]
+	}
+	return d
 }
 
 // Quantile returns the nearest-rank q-quantile as the lower bound of the

@@ -1,13 +1,12 @@
 package obs
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
-
-	"oij/internal/metrics"
 )
 
 func TestBucketLayout(t *testing.T) {
@@ -71,32 +70,106 @@ func TestHistogramMergeEquivalence(t *testing.T) {
 	const perShard = 5000
 	rng := rand.New(rand.NewSource(42))
 	hs := make([]Histogram, shards)
-	recs := make([]*metrics.LatencyRecorder, shards)
-	for i := range recs {
-		recs[i] = metrics.NewLatencyRecorder(perShard)
-	}
+	var all []int64
 	for i := 0; i < shards; i++ {
 		for n := 0; n < perShard; n++ {
 			// Log-uniform latencies from ~1µs to ~100ms in ns.
 			v := int64(1000 * (1 + rng.Float64()*rng.Float64()*100000))
 			hs[i].Observe(v)
-			recs[i].Record(time.Duration(v))
+			all = append(all, v)
 		}
 	}
 	merged := &HistSnapshot{}
 	for i := range hs {
 		merged.Merge(&hs[i])
 	}
-	cdf := metrics.MergeCDF(recs...)
-	if merged.N != int64(len(cdf.Sorted)) {
-		t.Fatalf("counts diverge: %d vs %d", merged.N, len(cdf.Sorted))
+	if merged.N != int64(len(all)) {
+		t.Fatalf("counts diverge: %d vs %d", merged.N, len(all))
 	}
 	for _, q := range []float64{0.1, 0.5, 0.9, 0.99, 0.999} {
-		exact := int64(cdf.Quantile(q))
+		exact := exactNearestRank(all, q)
 		approx := merged.Quantile(q)
 		width := bucketWidth(bucketIndex(exact))
 		if approx > exact || exact-approx > width {
 			t.Fatalf("q=%g: histogram %d vs exact %d (allowed width %d)", q, approx, exact, width)
+		}
+	}
+}
+
+// exactNearestRank is the oracle the histogram is checked against: the
+// smallest sample with at least a q fraction of samples at or below it.
+func exactNearestRank(samples []int64, q float64) int64 {
+	sorted := append([]int64(nil), samples...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	rank := int(math.Ceil(q * float64(len(sorted))))
+	rank = max(1, min(rank, len(sorted)))
+	return sorted[rank-1]
+}
+
+// TestHistogramSmallSetNearestRank pins the nearest-rank convention on the
+// small sets a floor-based index gets wrong (int(q*(n-1)) returned the
+// third of four samples for p99). Values below histSub sit in one-wide
+// buckets, so these quantiles are exact.
+func TestHistogramSmallSetNearestRank(t *testing.T) {
+	var four Histogram
+	for _, v := range []int64{10, 20, 30, 40} {
+		four.Observe(v)
+	}
+	s := four.Snapshot()
+	for _, c := range []struct {
+		q    float64
+		want int64
+	}{{0.25, 10}, {0.75, 30}, {0.99, 40}} {
+		if got := s.Quantile(c.q); got != c.want {
+			t.Fatalf("q=%g of 4 samples = %d, want %d", c.q, got, c.want)
+		}
+	}
+	var one Histogram
+	one.Observe(7)
+	for _, q := range []float64{0, 0.5, 0.99, 1} {
+		if got := one.Snapshot().Quantile(q); got != 7 {
+			t.Fatalf("single-sample q=%g = %d, want 7", q, got)
+		}
+	}
+	var empty HistSnapshot
+	if empty.Quantile(0.5) != 0 {
+		t.Fatal("empty snapshot quantile should be 0")
+	}
+}
+
+// TestHistSnapshotSub splits one stream at random cuts: the difference of
+// the snapshots taken at two cuts must equal a fresh histogram of exactly
+// the samples between them, bucket for bucket, plus N and Sum.
+func TestHistSnapshotSub(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + rng.Intn(5000)
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = rng.Int63() >> uint(rng.Intn(63))
+		}
+		cuts := []int{0, rng.Intn(n + 1), rng.Intn(n + 1), n}
+		sort.Ints(cuts)
+		var live Histogram
+		snaps := make([]*HistSnapshot, len(cuts))
+		next := 0
+		for i, c := range cuts {
+			for ; next < c; next++ {
+				live.Observe(vals[next])
+			}
+			snaps[i] = live.Snapshot()
+		}
+		for i := 1; i < len(cuts); i++ {
+			var fresh Histogram
+			for _, v := range vals[cuts[i-1]:cuts[i]] {
+				fresh.Observe(v)
+			}
+			want := fresh.Snapshot()
+			got := snaps[i].Sub(snaps[i-1])
+			if got.N != want.N || got.Sum != want.Sum || got.Counts != want.Counts {
+				t.Fatalf("trial %d cut [%d,%d): Sub N=%d sum=%d, fresh N=%d sum=%d (buckets equal: %v)",
+					trial, cuts[i-1], cuts[i], got.N, got.Sum, want.N, want.Sum, got.Counts == want.Counts)
+			}
 		}
 	}
 }

@@ -63,7 +63,6 @@ func smokeSpec() Spec {
 		Name:        "smoke",
 		N:           30_000,
 		Repeats:     3,
-		Seed:        1,
 		Sweeps: []Sweep{
 			{Name: "threads", Workload: "default", Engines: allEngines(), Threads: []int{1, 4}, Gate: true},
 			{Name: "lateness", Workload: "default", Engines: contenders(), Threads: []int{4},
@@ -188,7 +187,6 @@ func fullSpec() Spec {
 		Name:        "full",
 		N:           200_000,
 		Repeats:     5,
-		Seed:        1,
 		Sweeps:      sweeps,
 	}
 }

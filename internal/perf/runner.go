@@ -103,7 +103,7 @@ func RunSpec(spec Spec, o RunOptions) (*Report, error) {
 	}
 	for rep := 0; rep < spec.Repeats; rep++ {
 		for i := range cells {
-			sample, err := runCell(&cells[i], spec, rep, gen, fr, o.Telemetry)
+			sample, err := runCell(&cells[i], gen, fr, o.Telemetry)
 			if err != nil {
 				return nil, fmt.Errorf("perf: cell %s (repeat %d): %w", cells[i].ID, rep+1, err)
 			}
@@ -131,7 +131,7 @@ func RunSpec(spec Spec, o RunOptions) (*Report, error) {
 }
 
 // runCell measures one repeat of one cell.
-func runCell(c *Cell, spec Spec, rep int, gen map[string][]tuple.Tuple, fr *trace.Flight, telemetry bool) (Sample, error) {
+func runCell(c *Cell, gen map[string][]tuple.Tuple, fr *trace.Flight, telemetry bool) (Sample, error) {
 	wl, err := c.workloadConfig()
 	if err != nil {
 		return Sample{}, err
@@ -151,23 +151,17 @@ func runCell(c *Cell, spec Spec, rep int, gen map[string][]tuple.Tuple, fr *trac
 			return Sample{}, err
 		}
 	}
-	maxSamples := spec.MaxLatencySamples
-	if c.Latency && maxSamples <= 0 {
-		maxSamples = 4096
-	}
 	rc := harness.RunConfig{
-		Engine:            c.Engine,
-		Workload:          wl,
-		Tuples:            tuples,
-		Joiners:           c.Threads,
-		Agg:               fn,
-		Mode:              emitModes[c.Mode],
-		Paced:             c.Paced,
-		MeasureLatency:    c.Latency,
-		MaxLatencySamples: maxSamples,
-		LatencySeed:       uint64(spec.Seed)*1_000_003 + uint64(rep),
-		Instrument:        c.Instrumented,
-		Flight:            fr,
+		Engine:         c.Engine,
+		Workload:       wl,
+		Tuples:         tuples,
+		Joiners:        c.Threads,
+		Agg:            fn,
+		Mode:           emitModes[c.Mode],
+		Paced:          c.Paced,
+		MeasureLatency: c.Latency,
+		Instrument:     c.Instrumented,
+		Flight:         fr,
 	}
 	if c.Paced {
 		rc.UtilEpoch = utilEpoch
@@ -214,9 +208,9 @@ func runCell(c *Cell, spec Spec, rep int, gen map[string][]tuple.Tuple, fr *trac
 		Unbalancedness: res.Unbalancedness,
 	}
 	if c.Latency {
-		s.P50NS = int64(res.CDF.Quantile(0.50))
-		s.P99NS = int64(res.CDF.Quantile(0.99))
-		s.P999NS = int64(res.CDF.Quantile(0.999))
+		s.P50NS = res.Latency.Quantile(0.50)
+		s.P99NS = res.Latency.Quantile(0.99)
+		s.P999NS = res.Latency.Quantile(0.999)
 	}
 	if c.Instrumented {
 		s.Effectiveness = res.Effectiveness

@@ -16,7 +16,6 @@ func tinySpec() Spec {
 		Name:        "tiny",
 		N:           5000,
 		Repeats:     2,
-		Seed:        1,
 		Sweeps: []Sweep{
 			{Name: "tput", Workload: "default", Engines: []string{harness.KeyOIJ, harness.ScaleOIJ},
 				Threads: []int{2}, Gate: true},

@@ -81,10 +81,6 @@ type Spec struct {
 	N int `json:"n"`
 	// Repeats is the pinned per-cell sample count.
 	Repeats int `json:"repeats"`
-	// Seed seeds latency reservoir sampling (per-repeat offsets applied).
-	Seed int64 `json:"seed,omitempty"`
-	// MaxLatencySamples caps per-joiner latency retention (default 4096).
-	MaxLatencySamples int `json:"max_latency_samples,omitempty"`
 	// Sweeps are expanded in order into the report's cells.
 	Sweeps []Sweep `json:"sweeps"`
 }

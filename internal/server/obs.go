@@ -24,10 +24,6 @@ import (
 	"oij/internal/watermark"
 )
 
-// utilHistoryEpochs bounds the retained Fig. 14 trace on a long-running
-// server (at the default 1s epoch: the last 10 minutes).
-const utilHistoryEpochs = 600
-
 // serverObs owns the server's registry and hot-path instruments.
 type serverObs struct {
 	reg     *obs.Registry
@@ -36,8 +32,7 @@ type serverObs struct {
 	results *obs.CounterVec   // emitted results, per joiner
 	latency *obs.HistogramVec // request latency in ns, per joiner
 	util    *obs.GaugeVec     // live utilization in [0,1], per joiner
-	trace   *metrics.Utilization
-	epochs  *obs.Counter // closed utilization epochs
+	epochs  *obs.Counter      // closed utilization epochs
 	started time.Time
 
 	// Overload-control transitions: every shed, reject, and eviction is
@@ -130,11 +125,9 @@ func newServerObs(s *Server, joiners int) *serverObs {
 		results: reg.NewCounterVec("oij_results_total", "Join results emitted, per joiner.", joiners),
 		latency: reg.NewHistogramVec("oij_request_latency_seconds", "Request latency from arrival to result emission.", joiners, 1e9, nil),
 		util:    reg.NewGaugeVec("oij_joiner_utilization", "Per-joiner busy fraction over the last epoch (Fig. 14, live).", joiners),
-		trace:   metrics.NewUtilization(joiners, 0),
 		started: time.Now(),
 	}
 	o.epochs = reg.NewCounter("oij_utilization_epochs_total", "Closed utilization sampling epochs.")
-	o.trace.LimitHistory(utilHistoryEpochs)
 
 	// Per-stage allocation accounting. The Prometheus encoder renders
 	// vector labels only for per-joiner shards, so each stage gets its own
@@ -389,17 +382,19 @@ func newServerObs(s *Server, joiners int) *serverObs {
 	return o
 }
 
-// sampleUtilization closes one epoch: per-joiner busy-time deltas become
-// the live gauge vector and one Fig. 14 trace row.
+// sampleUtilization closes one epoch: each joiner's busy-time delta over
+// the measured epoch (the wall-clock tick jitters, so the denominator is
+// the elapsed time, not the nominal period), capped at 1, becomes its
+// live gauge — the Fig. 14 trace read one epoch at a time.
 func (s *Server) sampleUtilization(prevBusy []int64, epoch time.Duration) {
 	st := s.eng.Stats()
 	for i := range st.Busy {
 		cur := st.Busy[i].Load()
-		s.o.trace.AddBusy(i, time.Duration(cur-prevBusy[i]))
+		var f float64
+		if epoch > 0 {
+			f = min(float64(cur-prevBusy[i])/float64(epoch), 1)
+		}
 		prevBusy[i] = cur
-	}
-	row := s.o.trace.SnapshotOver(epoch)
-	for i, f := range row {
 		s.o.util.Shard(i).Set(f)
 	}
 	s.o.epochs.Inc()

@@ -136,13 +136,13 @@ func TestInstrumentation(t *testing.T) {
 // TestLatencyRecording: the merger records latency for stamped bases.
 func TestLatencyRecording(t *testing.T) {
 	w := window.Spec{Pre: 1000, Fol: 0, Lateness: 100}
-	ls := engine.NewLatencySink(1, 16)
+	ls := engine.NewLatencySink(1)
 	e := New(engine.Config{Joiners: 3, Window: w, Agg: agg.Sum}, ls)
 	e.Start()
 	e.Ingest(tuple.Tuple{TS: 10, Key: 1, Side: tuple.Probe, Val: 1})
 	e.Ingest(tuple.Tuple{TS: 20, Key: 1, Side: tuple.Base, Seq: 0, Arrival: time.Now()})
 	e.Drain()
-	if ls.CDF().Quantile(0.5) <= 0 {
+	if ls.Snapshot().Quantile(0.5) <= 0 {
 		t.Fatal("no latency recorded")
 	}
 }

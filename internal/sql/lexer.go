@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -39,8 +40,11 @@ func lex(input string) ([]token, error) {
 		case c >= '0' && c <= '9':
 			start := i
 			var num int64
+			overflow := false
 			for i < n && input[i] >= '0' && input[i] <= '9' {
-				num = num*10 + int64(input[i]-'0')
+				d := int64(input[i] - '0')
+				overflow = overflow || num > (math.MaxInt64-d)/10
+				num = num*10 + d
 				i++
 			}
 			// Optional duration unit suffix.
@@ -50,13 +54,20 @@ func lex(input string) ([]token, error) {
 			}
 			unit := strings.ToLower(input[us:i])
 			if unit == "" {
-				toks = append(toks, token{kind: tokNumber, num: num, pos: start})
-			} else {
-				if _, ok := unitScale[unit]; !ok {
-					return nil, fmt.Errorf("sql: unknown duration unit %q at offset %d", unit, us)
+				if overflow {
+					return nil, fmt.Errorf("sql: number %s at offset %d does not fit in int64", input[start:i], start)
 				}
-				toks = append(toks, token{kind: tokDuration, num: num, unit: unit, pos: start})
+				toks = append(toks, token{kind: tokNumber, num: num, pos: start})
+				break
 			}
+			scale, ok := unitScale[unit]
+			if !ok {
+				return nil, fmt.Errorf("sql: unknown duration unit %q at offset %d", unit, us)
+			}
+			if overflow || num > math.MaxInt64/scale {
+				return nil, fmt.Errorf("sql: duration %s at offset %d does not fit in int64 microseconds", input[start:i], start)
+			}
+			toks = append(toks, token{kind: tokDuration, num: num * scale, pos: start})
 		case isAlpha(c) || c == '_':
 			start := i
 			for i < n && (isAlpha(input[i]) || input[i] == '_' || (input[i] >= '0' && input[i] <= '9') || input[i] == '.') {

@@ -278,7 +278,7 @@ func (p *parser) windowDef(q *QuerySpec) error {
 			if d.kind != tokDuration {
 				return p.errf(d, "expected duration after LATENESS")
 			}
-			q.Window.Lateness = tuple.Time(d.num * unitScale[d.unit])
+			q.Window.Lateness = tuple.Time(d.num)
 		case "EXCLUDE":
 			p.next()
 			what := p.next()
@@ -311,9 +311,9 @@ func (p *parser) bound() (tuple.Time, boundKind, error) {
 		}
 		switch dir.up {
 		case "PRECEDING":
-			return tuple.Time(t.num * unitScale[t.unit]), boundPreceding, nil
+			return tuple.Time(t.num), boundPreceding, nil
 		case "FOLLOWING":
-			return tuple.Time(t.num * unitScale[t.unit]), boundFollowing, nil
+			return tuple.Time(t.num), boundFollowing, nil
 		default:
 			return 0, 0, p.errf(dir, "expected PRECEDING or FOLLOWING, got %q", dir.text)
 		}

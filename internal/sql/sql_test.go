@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -127,6 +128,57 @@ func TestParseDurationUnits(t *testing.T) {
 		if q.Window.Pre != 3*us {
 			t.Errorf("%s: Pre = %d, want %d", unit, q.Window.Pre, 3*us)
 		}
+	}
+}
+
+// TestParseLiteralOverflow: a duration whose microsecond value does not
+// fit in int64 is rejected with an error naming its offset, instead of
+// wrapping into a huge or negative window; so is a window whose
+// 2·(PRE+FOL)+lateness horizon would wrap.
+func TestParseLiteralOverflow(t *testing.T) {
+	const maxHalf = "4611686018427387903us" // (2^63-1)/2
+	cases := []struct {
+		name    string
+		between string // the ROWS_RANGE BETWEEN ... clause and what follows
+		literal string // the offending literal ("" for accepted queries)
+		wantErr string
+	}{
+		{"unit scale wraps positive", "100000000000000000ms PRECEDING AND CURRENT ROW", "100000000000000000ms", "does not fit"},
+		{"unit scale wraps negative", "9999999999999h PRECEDING AND CURRENT ROW", "9999999999999h", "does not fit"},
+		{"digits wrap", "99999999999999999999us PRECEDING AND CURRENT ROW", "99999999999999999999us", "does not fit"},
+		{"following bound", "CURRENT ROW AND 106751992d FOLLOWING", "106751992d", "does not fit"},
+		{"lateness", "1s PRECEDING AND CURRENT ROW LATENESS 2562047789h", "2562047789h", "does not fit"},
+		{"horizon wraps", "4611686018427387904us PRECEDING AND CURRENT ROW", "", "overflows"},
+		{"horizon wraps with lateness", "3074457345618258602us PRECEDING AND CURRENT ROW LATENESS 3074457345618258604us", "", "overflows"},
+		{"horizon at the limit", maxHalf + " PRECEDING AND CURRENT ROW", "", ""},
+		{"horizon at the limit with lateness", "3074457345618258602us PRECEDING AND CURRENT ROW LATENESS 3074457345618258603us", "", ""},
+		{"largest day count", "106751991d PRECEDING AND CURRENT ROW", "", "overflows"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			query := `SELECT sum(a) OVER w FROM b WINDOW w AS (UNION p PARTITION BY k ORDER BY t ROWS_RANGE BETWEEN ` + c.between + `)`
+			q, err := Parse(query)
+			if c.wantErr == "" {
+				if err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				if h := 2*q.Window.Len() + q.Window.Lateness; h < 0 {
+					t.Fatalf("accepted window %v has a negative horizon %d", q.Window, h)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("accepted with window %v", q.Window)
+			}
+			if !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("error %q does not contain %q", err, c.wantErr)
+			}
+			if c.literal != "" {
+				if off := fmt.Sprintf("offset %d", strings.Index(query, c.literal)); !strings.Contains(err.Error(), off) {
+					t.Fatalf("error %q does not name %s", err, off)
+				}
+			}
+		})
 	}
 }
 

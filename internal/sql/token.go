@@ -52,15 +52,14 @@ func (k kind) String() string {
 	}
 }
 
-// token is one lexical unit. For tokDuration, num holds the scalar and
-// unit the suffix; for tokNumber only num is set; for tokIdent text holds
-// the original spelling and up holds its upper-cased form for keyword
+// token is one lexical unit. For tokDuration, num holds the value in
+// microseconds; for tokNumber, the integer; for tokIdent text holds the
+// original spelling and up holds its upper-cased form for keyword
 // comparison.
 type token struct {
 	kind kind
 	text string
 	up   string
 	num  int64
-	unit string
 	pos  int // byte offset, for error messages
 }

@@ -8,6 +8,7 @@ package window
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"oij/internal/tuple"
 )
@@ -42,6 +43,10 @@ func (s Spec) Validate() error {
 		return errors.New("window: empty window (PRE = FOL = 0)")
 	case s.ExcludeCurrentTime && s.Fol != 0:
 		return errors.New("window: EXCLUDE CURRENT_TIME requires the window to end at CURRENT ROW (FOL = 0)")
+	case s.Fol > (math.MaxInt64-s.Lateness)/2-s.Pre:
+		// WAL retention and Scale-OIJ's eviction horizon add
+		// 2·(PRE+FOL)+lateness; it must not wrap.
+		return fmt.Errorf("window: 2·(PRE+FOL)+lateness overflows int64 µs (PRE=%d FOL=%d l=%d)", s.Pre, s.Fol, s.Lateness)
 	}
 	return nil
 }

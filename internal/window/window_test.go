@@ -1,6 +1,7 @@
 package window
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -23,6 +24,36 @@ func TestValidate(t *testing.T) {
 	for _, c := range cases {
 		if err := c.s.Validate(); (err == nil) != c.ok {
 			t.Errorf("%v.Validate() = %v, want ok=%v", c.s, err, c.ok)
+		}
+	}
+}
+
+// TestValidateHorizonOverflow: WAL retention and Scale-OIJ's eviction
+// horizon compute 2·(PRE+FOL)+lateness, so a spec where that sum wraps is
+// invalid even though each field is non-negative.
+func TestValidateHorizonOverflow(t *testing.T) {
+	const max = math.MaxInt64
+	cases := []struct {
+		s  Spec
+		ok bool
+	}{
+		{Spec{Pre: max / 2}, true},
+		{Spec{Pre: max/2 + 1}, false},
+		{Spec{Pre: max / 4, Fol: max / 4}, true},
+		{Spec{Pre: max / 4, Fol: max/4 + 1}, true}, // 2·(2^62-1)
+		{Spec{Pre: max / 4, Fol: max/4 + 2}, false},
+		{Spec{Pre: 1, Lateness: max - 2}, true},
+		{Spec{Pre: 1, Lateness: max - 1}, false},
+		{Spec{Pre: max, Fol: max}, false}, // PRE+FOL itself wraps
+		{Spec{Fol: 1, Lateness: max}, false},
+	}
+	for _, c := range cases {
+		err := c.s.Validate()
+		if (err == nil) != c.ok {
+			t.Errorf("%v.Validate() = %v, want ok=%v", c.s, err, c.ok)
+		}
+		if err == nil && 2*c.s.Len()+c.s.Lateness < 0 {
+			t.Errorf("%v accepted with a wrapped horizon", c.s)
 		}
 	}
 }
