@@ -26,7 +26,7 @@ var usageText = `Usage:
   oijbench sim      [-engine e] [-joiners J] [-mode arrival|watermark] [-time-scale S]
                     [-max-tuples N] [-unpaced] [-addr host:port [-admin url]]
                     [-serve [-admission p] [-mem-cap N] [-deadline d] [-util-epoch d]
-                     [-controller [-ctl-min-joiners N] [-ctl-max-joiners N] [-ctl-p99 d]]
+                     [-controller [-ctl-max-joiners N] [-ctl-p99 d]]
                      [-flight-out FLIGHT.json]]
                     [-out SIM_name.json] [-check-slo] [-q] profile.json
   oijbench simdiff  [-dim name] BASE_SIM.json CANDIDATE_SIM.json

@@ -39,7 +39,6 @@ func runSim(args []string, stdout, stderr io.Writer) int {
 	deadline := fs.Duration("deadline", 0, "with -serve: per-request NACK deadline (0 disables)")
 	utilEpoch := fs.Duration("util-epoch", 0, "with -serve: sampler/controller epoch (0 keeps the server default of 1s)")
 	controller := fs.Bool("controller", false, "with -serve: enable the adaptive self-tuning controller")
-	ctlMinJoiners := fs.Int("ctl-min-joiners", 0, "with -controller: active-joiner floor (0 keeps the default of 1)")
 	ctlMaxJoiners := fs.Int("ctl-max-joiners", 0, "with -controller: active-joiner ceiling; the pool is sized to it (0 keeps -joiners)")
 	ctlP99 := fs.Duration("ctl-p99", 0, "with -controller: p99 target the admission ladder defends (0 inherits the profile SLO)")
 	flightOut := fs.String("flight-out", "", "with -serve: dump the server's flight recorder (controller decisions, SLO transitions) to this path on exit")
@@ -96,7 +95,6 @@ func runSim(args []string, stdout, stderr io.Writer) int {
 		if *controller {
 			cfg.Control = control.Config{
 				Enabled:    true,
-				MinJoiners: *ctlMinJoiners,
 				MaxJoiners: *ctlMaxJoiners,
 				P99Target:  *ctlP99,
 			}

@@ -48,7 +48,7 @@ func parseArgs(args []string, w io.Writer) (*options, error) {
 		standbyOf = fs.String("standby-of", "",
 			"run as a hot standby of the primary at this replication address: apply its WAL, refuse writes, promote on lease expiry (requires -wal)")
 		lease = fs.Duration("lease", 0,
-			"failure-detection budget for automatic failover: the standby promotes after this long of silence, the primary self-fences at 3/4 of it (0 defaults to 3s when replication is on; negative disables auto-failover)")
+			"failure-detection budget for automatic failover: the standby promotes after this long of silence, the primary self-fences at 3/4 of it (0 defaults to 3s when replication is on)")
 		maxReplLag = fs.Int64("max-repl-lag", 0,
 			"replication lag alarm in bytes: above it the primary records a lag_exceeded flight event and dumps the flight recorder (0 disables)")
 
@@ -59,7 +59,7 @@ func parseArgs(args []string, w io.Writer) (*options, error) {
 		memCap = fs.Int64("mem-cap", 0,
 			"buffered-probe cap: above it the server sheds oldest-window probes first (0 disables)")
 		slowGrace = fs.Duration("slow-grace", 0,
-			"slow-consumer grace before a non-draining session is evicted (0 keeps the server default, negative disables eviction)")
+			"slow-consumer grace before a non-draining session is evicted (0 keeps the server default of 5s)")
 
 		traceSample = fs.Int("trace-sample", 0,
 			"trace every Nth feature request through the pipeline stages, scrapeable at /tracez (0 disables sampling; the flight recorder stays on regardless)")
@@ -68,8 +68,6 @@ func parseArgs(args []string, w io.Writer) (*options, error) {
 		flightDump = fs.String("flight-dump", "",
 			"file the flight recorder auto-dumps to on evictions, stalls, and memory-pressure transitions (empty disables auto-dump; /debug/flightrecorder always works)")
 
-		hotKeys = fs.Int("hot-keys", 0,
-			"top-K hot keys tracked per joiner per stream with a SpaceSaving sketch, shown on /statusz and as /timeline skew series (0 keeps the server default of 16, negative disables)")
 		sloWindow = fs.Duration("slo-window", 0,
 			"trailing window the /healthz burn rates are computed over (0 keeps the server default of 30s)")
 		sloP99 = fs.Duration("slo-p99", 0,
@@ -87,19 +85,11 @@ func parseArgs(args []string, w io.Writer) (*options, error) {
 			"continuous-profiling duty cycle: one capture round per period (0 keeps the default of 60s)")
 		profileCPUSlice = fs.Duration("profile-cpu-slice", 0,
 			"CPU profile slice length per round; must be shorter than -profile-period (0 keeps the default of 2s)")
-		profileRetain = fs.Int("profile-retain", 0,
-			"profiles kept in the on-disk ring before the oldest are evicted (0 keeps the default of 32)")
 
 		controller = fs.Bool("controller", false,
 			"enable the adaptive self-tuning controller: retunes active joiners, admission policy, trace sampling, and the soft memory watermark live against the SLO (inspect and override at /controlz)")
-		ctlMinJoiners = fs.Int("ctl-min-joiners", 0,
-			"controller floor on active joiners (0 keeps the default of 1)")
 		ctlMaxJoiners = fs.Int("ctl-max-joiners", 0,
 			"controller ceiling on active joiners; the engine pool is sized to it up front (0 keeps -parallel)")
-		ctlUtilHigh = fs.Float64("ctl-util-high", 0,
-			"mean active-joiner utilization that arms a scale-up (0 keeps the default of 0.85)")
-		ctlUtilLow = fs.Float64("ctl-util-low", 0,
-			"mean active-joiner utilization below which a healthy system scales down (0 keeps the default of 0.25)")
 		ctlP99 = fs.Duration("ctl-p99", 0,
 			"p99 latency target the controller's admission ladder defends (0 inherits -slo-p99)")
 	)
@@ -124,7 +114,6 @@ func parseArgs(args []string, w io.Writer) (*options, error) {
 			TraceSampleN:      *traceSample,
 			TraceRing:         *traceRing,
 			FlightDumpPath:    *flightDump,
-			HotKeysK:          *hotKeys,
 			SLOWindow:         *sloWindow,
 			SLOP99:            *sloP99,
 			SLOShedRate:       *sloShedRate,
@@ -135,6 +124,32 @@ func parseArgs(args []string, w io.Writer) (*options, error) {
 			ReplLease:         *lease,
 			MaxReplLag:        *maxReplLag,
 		},
+	}
+	for _, f := range []struct {
+		name     string
+		negative bool
+	}{
+		{"deadline", *deadline < 0},
+		{"mem-cap", *memCap < 0},
+		{"slow-grace", *slowGrace < 0},
+		{"trace-sample", *traceSample < 0},
+		{"trace-ring", *traceRing < 0},
+		{"slo-p99", *sloP99 < 0},
+		{"slo-shed-rate", *sloShedRate < 0},
+		{"slo-lag", *sloLag < 0},
+		{"lease", *lease < 0},
+		{"max-repl-lag", *maxReplLag < 0},
+		{"profile-period", *profilePeriod < 0},
+		{"profile-cpu-slice", *profileCPUSlice < 0},
+		{"ctl-max-joiners", *ctlMaxJoiners < 0},
+		{"ctl-p99", *ctlP99 < 0},
+	} {
+		if f.negative {
+			return nil, fmt.Errorf("-%s must not be negative", f.name)
+		}
+	}
+	if *parallel < 1 {
+		return nil, fmt.Errorf("-parallel must be at least 1 (got %d)", *parallel)
 	}
 	if *sloMemLevel < 0 || *sloMemLevel > 2 {
 		return nil, fmt.Errorf("-slo-mem-level must be 0, 1 or 2 (got %d)", *sloMemLevel)
@@ -148,22 +163,10 @@ func parseArgs(args []string, w io.Writer) (*options, error) {
 	if (*lease != 0 || *maxReplLag != 0) && *replicateTo == "" && *standbyOf == "" {
 		return nil, fmt.Errorf("-lease and -max-repl-lag need -replicate-to or -standby-of")
 	}
-	if *maxReplLag < 0 {
-		return nil, fmt.Errorf("-max-repl-lag must be non-negative (got %d)", *maxReplLag)
-	}
-	if *profileDir == "" && (*profilePeriod != 0 || *profileCPUSlice != 0 || *profileRetain != 0) {
+	if *profileDir == "" && (*profilePeriod != 0 || *profileCPUSlice != 0) {
 		return nil, fmt.Errorf("-profile-* flags need -profile-dir")
 	}
 	if *profileDir != "" {
-		if *profilePeriod < 0 {
-			return nil, fmt.Errorf("-profile-period must be positive (got %s)", *profilePeriod)
-		}
-		if *profileCPUSlice < 0 {
-			return nil, fmt.Errorf("-profile-cpu-slice must be positive (got %s)", *profileCPUSlice)
-		}
-		if *profileRetain < 0 {
-			return nil, fmt.Errorf("-profile-retain must be positive (got %d)", *profileRetain)
-		}
 		period, slice := *profilePeriod, *profileCPUSlice
 		if period == 0 {
 			period = 60 * time.Second
@@ -175,23 +178,16 @@ func parseArgs(args []string, w io.Writer) (*options, error) {
 			return nil, fmt.Errorf("-profile-cpu-slice %s must be shorter than -profile-period %s", slice, period)
 		}
 		o.cfg.ProfileDir = *profileDir
-		o.cfg.ProfilePeriod = *profilePeriod
-		o.cfg.ProfileCPUSlice = *profileCPUSlice
-		o.cfg.ProfileRetain = *profileRetain
+		o.cfg.ProfilePeriod = period
+		o.cfg.ProfileCPUSlice = slice
 	}
-	if !*controller && (*ctlMinJoiners != 0 || *ctlMaxJoiners != 0 || *ctlUtilHigh != 0 || *ctlUtilLow != 0 || *ctlP99 != 0) {
+	if !*controller && (*ctlMaxJoiners != 0 || *ctlP99 != 0) {
 		return nil, fmt.Errorf("-ctl-* flags need -controller")
 	}
 	if *controller {
-		if *ctlMaxJoiners != 0 && *ctlMaxJoiners < *ctlMinJoiners {
-			return nil, fmt.Errorf("-ctl-max-joiners %d below -ctl-min-joiners %d", *ctlMaxJoiners, *ctlMinJoiners)
-		}
 		o.cfg.Control = control.Config{
 			Enabled:    true,
-			MinJoiners: *ctlMinJoiners,
 			MaxJoiners: *ctlMaxJoiners,
-			UtilHigh:   *ctlUtilHigh,
-			UtilLow:    *ctlUtilLow,
 			P99Target:  *ctlP99,
 		}
 	}

@@ -25,6 +25,7 @@ import (
 	"syscall"
 	"time"
 
+	"oij/internal/control"
 	"oij/internal/server"
 )
 
@@ -70,44 +71,32 @@ func main() {
 		if lease == 0 {
 			lease = 3 * time.Second
 		}
-		failover := "auto-failover on"
-		if lease < 0 {
-			failover = "auto-failover off"
-		}
 		if o.cfg.StandbyOf != "" {
-			fmt.Printf("oijd: hot standby of %s (lease %s, %s): applying the primary's WAL, refusing writes until promoted\n",
-				o.cfg.StandbyOf, lease, failover)
+			fmt.Printf("oijd: hot standby of %s (lease %s): applying the primary's WAL, refusing writes until promoted\n",
+				o.cfg.StandbyOf, lease)
 		} else {
 			addr := o.cfg.ReplListenAddr
 			if a := srv.ReplAddr(); a != nil {
 				addr = a.String()
 			}
-			fmt.Printf("oijd: primary replicating to standbys on %s (lease %s, %s, max-lag %d bytes)\n",
-				addr, lease, failover, o.cfg.MaxReplLag)
+			fmt.Printf("oijd: primary replicating to standbys on %s (lease %s, max-lag %d bytes)\n",
+				addr, lease, o.cfg.MaxReplLag)
 		}
 	}
 	if a := srv.AdminAddr(); a != nil {
 		fmt.Printf("oijd: observability on http://%s (/metrics /statusz /tracez /timeline /healthz /debug/flightrecorder /debug/pprof)\n", a)
 	}
 	if o.cfg.Control.Enabled {
-		cc := o.cfg.Control.WithDefaults()
-		maxJ := cc.MaxJoiners
+		maxJ := o.cfg.Control.MaxJoiners
 		if maxJ < o.cfg.Engine.Joiners {
 			maxJ = o.cfg.Engine.Joiners
 		}
 		fmt.Printf("oijd: controller: joiners=[%d,%d] util=[%g,%g] p99-target=%s (inspect/override at /controlz)\n",
-			cc.MinJoiners, maxJ, cc.UtilLow, cc.UtilHigh, cc.P99Target)
+			control.MinJoiners, maxJ, control.UtilLow, control.UtilHigh, o.cfg.Control.P99Target)
 	}
 	if o.cfg.ProfileDir != "" {
-		period, slice := o.cfg.ProfilePeriod, o.cfg.ProfileCPUSlice
-		if period == 0 {
-			period = 60 * time.Second
-		}
-		if slice == 0 {
-			slice = 2 * time.Second
-		}
 		fmt.Printf("oijd: continuous profiling to %s (%s CPU slice every %s, see /profilez)\n",
-			o.cfg.ProfileDir, slice, period)
+			o.cfg.ProfileDir, o.cfg.ProfileCPUSlice, o.cfg.ProfilePeriod)
 	}
 	if o.cfg.TraceSampleN > 0 {
 		fmt.Printf("oijd: tracing every %d. request (see /tracez)\n", o.cfg.TraceSampleN)

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"flag"
 	"io"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -148,7 +151,6 @@ func TestParseProfilingFlags(t *testing.T) {
 		"-profile-dir", "/tmp/oij-prof",
 		"-profile-period", "30s",
 		"-profile-cpu-slice", "1s",
-		"-profile-retain", "64",
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -162,16 +164,13 @@ func TestParseProfilingFlags(t *testing.T) {
 	if o.cfg.ProfileCPUSlice != time.Second {
 		t.Errorf("profile-cpu-slice = %v", o.cfg.ProfileCPUSlice)
 	}
-	if o.cfg.ProfileRetain != 64 {
-		t.Errorf("profile-retain = %d", o.cfg.ProfileRetain)
-	}
 
-	// Dir alone enables profiling on capturer defaults.
+	// Dir alone enables profiling on the default 2s-in-60s duty cycle.
 	o, err = parseArgs([]string{"-profile-dir", "/tmp/oij-prof"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.cfg.ProfileDir == "" || o.cfg.ProfilePeriod != 0 || o.cfg.ProfileRetain != 0 {
+	if o.cfg.ProfileDir == "" || o.cfg.ProfilePeriod != time.Minute || o.cfg.ProfileCPUSlice != 2*time.Second {
 		t.Errorf("dir-only profiling config: %+v", o.cfg)
 	}
 
@@ -189,10 +188,8 @@ func TestParseProfilingErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-profile-period", "30s"},                         // period without dir
 		{"-profile-cpu-slice", "1s"},                       // slice without dir
-		{"-profile-retain", "8"},                           // retain without dir
 		{"-profile-dir", "d", "-profile-period", "-10s"},   // negative period
 		{"-profile-dir", "d", "-profile-cpu-slice", "-1s"}, // negative slice
-		{"-profile-dir", "d", "-profile-retain", "-1"},     // negative retain
 		{"-profile-dir", "d", "-profile-period", "1s",
 			"-profile-cpu-slice", "2s"}, // slice >= period
 		{"-profile-dir", "d", "-profile-cpu-slice", "90s"}, // slice >= default period
@@ -223,19 +220,23 @@ func TestParseReplicationFlags(t *testing.T) {
 		t.Errorf("max-repl-lag = %d", o.cfg.MaxReplLag)
 	}
 
-	o, err = parseArgs([]string{
+	// A lease must be positive: there is no "auto-failover off" mode.
+	if _, err := parseArgs([]string{
 		"-wal", "/tmp/oij.wal",
 		"-standby-of", "primary:7783",
 		"-lease", "-1s",
+	}, io.Discard); err == nil {
+		t.Error("negative -lease accepted")
+	}
+	o, err = parseArgs([]string{
+		"-wal", "/tmp/oij.wal",
+		"-standby-of", "primary:7783",
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.cfg.StandbyOf != "primary:7783" {
-		t.Errorf("standby-of = %q", o.cfg.StandbyOf)
-	}
-	if o.cfg.ReplLease != -time.Second {
-		t.Errorf("lease = %v", o.cfg.ReplLease)
+	if o.cfg.StandbyOf != "primary:7783" || o.cfg.ReplLease != 0 {
+		t.Errorf("standby-of = %q, lease = %v", o.cfg.StandbyOf, o.cfg.ReplLease)
 	}
 }
 
@@ -250,6 +251,89 @@ func TestParseReplicationErrors(t *testing.T) {
 	} {
 		if _, err := parseArgs(args, io.Discard); err == nil {
 			t.Errorf("parseArgs(%q): expected error", args)
+		}
+	}
+}
+
+// TestParseRejectsOutOfRange: a negative value is an error, never a
+// silent "off", and the joiner count must be at least 1.
+func TestParseRejectsOutOfRange(t *testing.T) {
+	repl := []string{"-wal", "w", "-replicate-to", ":1"}
+	for _, args := range [][]string{
+		{"-parallel", "0"},
+		{"-parallel", "-2"},
+		{"-deadline", "-1ms"},
+		{"-mem-cap", "-1"},
+		{"-trace-sample", "-1"},
+		{"-trace-ring", "-1"},
+		{"-slo-p99", "-1ms"},
+		{"-slo-shed-rate", "-0.5"},
+		{"-slo-lag", "-1s"},
+		{"-slow-grace", "-1s"},
+		append([]string{"-lease", "-1s"}, repl...),
+		append([]string{"-max-repl-lag", "-5"}, repl...),
+		{"-controller", "-ctl-max-joiners", "-1"},
+		{"-controller", "-ctl-p99", "-1ms"},
+	} {
+		if _, err := parseArgs(args, io.Discard); err == nil {
+			t.Errorf("parseArgs(%q): expected error", args)
+		}
+	}
+}
+
+// TestTooManyJoinersIsAnError: a joiner count past Scale-OIJ's 64-joiner
+// mask parses, and the server rejects it with an error instead of
+// panicking.
+func TestTooManyJoinersIsAnError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-parallel", "65"},
+		{"-controller", "-ctl-max-joiners", "65"},
+	} {
+		o, err := parseArgs(args, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srv, err := server.New(o.cfg); err == nil {
+			srv.Shutdown()
+			t.Errorf("%q: server accepted 65 Scale-OIJ joiners", args)
+		}
+	}
+}
+
+// TestFlagTableMatchesREADME: the README's flag table names every flag
+// oijd defines, and no flag it does not. The flag names come from the
+// FlagSet's own usage listing.
+func TestFlagTableMatchesREADME(t *testing.T) {
+	var usage strings.Builder
+	if _, err := parseArgs([]string{"-h"}, &usage); err != flag.ErrHelp {
+		t.Fatalf("-h: %v", err)
+	}
+	defined := map[string]bool{}
+	for _, line := range strings.Split(usage.String(), "\n") {
+		if strings.HasPrefix(line, "  -") {
+			defined[strings.Fields(line)[0][1:]] = true
+		}
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)` \\|")
+	documented := map[string]bool{}
+	for _, m := range row.FindAllStringSubmatch(string(readme), -1) {
+		documented[m[1]] = true
+	}
+	if len(defined) == 0 || len(documented) == 0 {
+		t.Fatalf("found %d flags and %d table rows", len(defined), len(documented))
+	}
+	for name := range defined {
+		if !documented[name] {
+			t.Errorf("flag -%s is missing from the README flag table", name)
+		}
+	}
+	for name := range documented {
+		if !defined[name] {
+			t.Errorf("README flag table names -%s, which oijd does not define", name)
 		}
 	}
 }

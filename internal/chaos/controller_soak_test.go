@@ -187,14 +187,14 @@ func TestSoakControllerDecisionsBounded(t *testing.T) {
 	proxy.ClearFaults()
 
 	// Budget: applied automatic decisions per minute must stay inside
-	// MaxDecisionsPerMin (default 12). Manual overrides bypass the budget
+	// control.MaxDecisionsPerMin. Manual overrides bypass the budget
 	// and are excluded from the applied counter by design.
 	doc := getControlz(t, adminBase)
 	if doc.State == nil {
 		t.Fatal("controlz state missing after soak")
 	}
 	elapsedMin := int(time.Since(start).Minutes()) + 1
-	budget := control.Config{}.WithDefaults().MaxDecisionsPerMin
+	budget := control.MaxDecisionsPerMin
 	if doc.State.Applied > uint64(budget*elapsedMin) {
 		t.Errorf("applied decisions = %d over %d min, budget %d/min", doc.State.Applied, elapsedMin, budget)
 	}

@@ -58,109 +58,80 @@ func AdmissionName(l int) string {
 	}
 }
 
-// Config tunes the controller.
+// Policy bands. /controlz reports them in its policy block.
+const (
+	// MinJoiners is the floor on the active joiner count.
+	MinJoiners = 1
+	// UtilHigh: mean active-joiner utilization at or above this arms a
+	// scale-up. UtilLow: at or below this (with a healthy p99) arms a
+	// scale-down.
+	UtilHigh = 0.85
+	UtilLow  = 0.25
+	// UnbalanceHigh arms the skew scale-up rule: one pegged joiner
+	// (MaxUtil >= UtilHigh) plus unbalancedness at or above this means
+	// more team members would help even though the mean looks fine.
+	UnbalanceHigh = 0.5
+	// QueueHighFrac arms a scale-up when the ingest funnel is this full.
+	QueueHighFrac = 0.5
+	// P99HighFrac of Config.P99Target arms tightening; P99LowFrac of it
+	// is the healthy bar for relaxing and scaling down.
+	P99HighFrac = 0.9
+	P99LowFrac  = 0.5
+	// HoldEpochs is how many consecutive epochs a tightening condition
+	// must hold before the controller acts. RelaxEpochs is the healthy
+	// streak required before relaxing anything.
+	HoldEpochs  = 3
+	RelaxEpochs = 2 * HoldEpochs
+	// CooldownEpochs is the minimum epochs between two actions on the
+	// same actuator.
+	CooldownEpochs = 5
+	// MaxDecisionsPerMin is the global applied-decision budget; past it
+	// the controller suppresses further actions until the window slides.
+	MaxDecisionsPerMin = 12
+	// TracePressureFactor multiplies the boot 1-in-N trace sampling rate
+	// while the system is under pressure, so sampled tracing gets
+	// coarser exactly when its overhead matters.
+	TracePressureFactor = 8
+	// MemSoftPctTight is the soft memory-guard watermark (percent of the
+	// hard cap at which probe shedding starts) applied under sustained
+	// hard memory pressure, replacing the boot value until recovery.
+	MemSoftPctTight = 50
+	// RingSize bounds the /controlz decision ring.
+	RingSize = 128
+)
+
+// Config configures the controller.
 type Config struct {
 	// Enabled gates the whole loop; a zero Config is a disabled
 	// controller.
 	Enabled bool
-	// MinJoiners/MaxJoiners bound the active joiner count the controller
-	// may set (defaults 1 and the boot joiner count).
-	MinJoiners int
+	// MaxJoiners bounds the active joiner count the controller may set
+	// (default: the boot joiner count).
 	MaxJoiners int
-	// UtilHigh: mean active-joiner utilization at or above this arms a
-	// scale-up (default 0.85). UtilLow: at or below this (with a healthy
-	// p99) arms a scale-down (default 0.25).
-	UtilHigh float64
-	UtilLow  float64
-	// UnbalanceHigh arms the skew scale-up rule: one pegged joiner
-	// (MaxUtil >= UtilHigh) plus unbalancedness at or above this means
-	// more team members would help even though the mean looks fine
-	// (default 0.5).
-	UnbalanceHigh float64
-	// QueueHighFrac arms a scale-up when the ingest funnel is this full
-	// (default 0.5).
-	QueueHighFrac float64
 	// P99Target is the latency SLO the admission ladder defends; zero
-	// disables the latency rules. P99HighFrac of it arms tightening
-	// (default 0.9), P99LowFrac of it is the healthy bar for relaxing
-	// and scaling down (default 0.5).
-	P99Target   time.Duration
-	P99HighFrac float64
-	P99LowFrac  float64
-	// HoldEpochs is how many consecutive epochs a tightening condition
-	// must hold before the controller acts (default 3). RelaxEpochs is
-	// the healthy streak required before relaxing anything (default 6).
-	HoldEpochs  int
-	RelaxEpochs int
-	// CooldownEpochs is the minimum epochs between two actions on the
-	// same actuator (default 5).
-	CooldownEpochs int
-	// MaxDecisionsPerMin is the global applied-decision budget; past it
-	// the controller suppresses further actions until the window slides
-	// (default 12).
-	MaxDecisionsPerMin int
-	// TracePressureFactor multiplies the boot 1-in-N trace sampling rate
-	// while the system is under pressure, so sampled tracing gets
-	// coarser exactly when its overhead matters (default 8).
-	TracePressureFactor int
-	// MemSoftPctTight is the soft memory-guard watermark (percent of the
-	// hard cap at which probe shedding starts) applied under sustained
-	// hard memory pressure, replacing the default until recovery
-	// (default 50).
-	MemSoftPctTight int
-	// RingSize bounds the /controlz decision ring (default 128).
-	RingSize int
+	// disables the latency rules.
+	P99Target time.Duration
+
+	// holdEpochs, relaxEpochs, cooldownEpochs and maxDecisionsPerMin
+	// replace HoldEpochs, RelaxEpochs, CooldownEpochs and
+	// MaxDecisionsPerMin when set; tests shorten them to keep decision
+	// tables small.
+	holdEpochs, relaxEpochs, cooldownEpochs, maxDecisionsPerMin int
 }
 
-// WithDefaults fills unset fields.
-func (c Config) WithDefaults() Config {
-	if c.MinJoiners <= 0 {
-		c.MinJoiners = 1
+// withDefaults fills unset fields.
+func (c Config) withDefaults() Config {
+	if c.holdEpochs <= 0 {
+		c.holdEpochs = HoldEpochs
 	}
-	if c.MaxJoiners <= 0 {
-		c.MaxJoiners = c.MinJoiners
+	if c.relaxEpochs <= 0 {
+		c.relaxEpochs = RelaxEpochs
 	}
-	if c.MaxJoiners < c.MinJoiners {
-		c.MaxJoiners = c.MinJoiners
+	if c.cooldownEpochs <= 0 {
+		c.cooldownEpochs = CooldownEpochs
 	}
-	if c.UtilHigh <= 0 {
-		c.UtilHigh = 0.85
-	}
-	if c.UtilLow <= 0 {
-		c.UtilLow = 0.25
-	}
-	if c.UnbalanceHigh <= 0 {
-		c.UnbalanceHigh = 0.5
-	}
-	if c.QueueHighFrac <= 0 {
-		c.QueueHighFrac = 0.5
-	}
-	if c.P99HighFrac <= 0 {
-		c.P99HighFrac = 0.9
-	}
-	if c.P99LowFrac <= 0 {
-		c.P99LowFrac = 0.5
-	}
-	if c.HoldEpochs <= 0 {
-		c.HoldEpochs = 3
-	}
-	if c.RelaxEpochs <= 0 {
-		c.RelaxEpochs = 2 * c.HoldEpochs
-	}
-	if c.CooldownEpochs <= 0 {
-		c.CooldownEpochs = 5
-	}
-	if c.MaxDecisionsPerMin <= 0 {
-		c.MaxDecisionsPerMin = 12
-	}
-	if c.TracePressureFactor <= 0 {
-		c.TracePressureFactor = 8
-	}
-	if c.MemSoftPctTight <= 0 {
-		c.MemSoftPctTight = 50
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = 128
+	if c.maxDecisionsPerMin <= 0 {
+		c.maxDecisionsPerMin = MaxDecisionsPerMin
 	}
 	return c
 }
@@ -312,12 +283,9 @@ type Controller struct {
 // New builds a controller. boot seeds the knob values the controller
 // relaxes back toward; fr may be nil (decisions still reach the ring).
 func New(cfg Config, boot Boot, act Actuators, fr *trace.Flight) *Controller {
-	cfg = cfg.WithDefaults()
+	cfg = cfg.withDefaults()
 	if cfg.MaxJoiners < boot.Joiners {
 		cfg.MaxJoiners = boot.Joiners
-	}
-	if boot.MemSoftPct <= 0 {
-		boot.MemSoftPct = 75
 	}
 	c := &Controller{
 		cfg:        cfg,
@@ -328,15 +296,12 @@ func New(cfg Config, boot Boot, act Actuators, fr *trace.Flight) *Controller {
 		traceN:     boot.TraceSampleN,
 		memSoftPct: boot.MemSoftPct,
 		boot:       boot,
-		ring:       make([]Decision, 0, cfg.RingSize),
+		ring:       make([]Decision, 0, RingSize),
 	}
 	c.lastJoiners, c.lastAdm = ^uint64(0), ^uint64(0)
 	c.lastTrace, c.lastMem = ^uint64(0), ^uint64(0)
 	return c
 }
-
-// Config returns the effective (defaulted) configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // Frozen reports whether the controller is frozen (observing, not acting).
 func (c *Controller) Frozen() bool {
@@ -369,7 +334,7 @@ func (c *Controller) SetFrozen(now time.Time, frozen bool) {
 // cooled reports whether the actuator last acting at last has sat out its
 // cooldown by epoch.
 func (c *Controller) cooled(epoch, last uint64) bool {
-	return last == ^uint64(0) || epoch >= last+uint64(c.cfg.CooldownEpochs)
+	return last == ^uint64(0) || epoch >= last+uint64(c.cfg.cooldownEpochs)
 }
 
 // budget reports whether the decisions-per-minute budget allows another
@@ -383,7 +348,7 @@ func (c *Controller) budget(now time.Time) bool {
 		}
 	}
 	c.recent = keep
-	return len(c.recent) < c.cfg.MaxDecisionsPerMin
+	return len(c.recent) < c.cfg.maxDecisionsPerMin
 }
 
 // record appends a decision to the ring and the flight recorder.
@@ -455,17 +420,17 @@ func (c *Controller) p99Healthy(sig Signals) bool {
 	if c.cfg.P99Target <= 0 {
 		return true
 	}
-	return float64(sig.P99) <= c.cfg.P99LowFrac*float64(c.cfg.P99Target)
+	return float64(sig.P99) <= P99LowFrac*float64(c.cfg.P99Target)
 }
 
 // scaleUpWanted reports whether any scale-up condition holds, and which.
 func (c *Controller) scaleUpWanted(sig Signals) (int, bool) {
 	switch {
-	case sig.MeanUtil >= c.cfg.UtilHigh:
+	case sig.MeanUtil >= UtilHigh:
 		return ruleScaleUpUtil, true
-	case sig.QueueFrac >= c.cfg.QueueHighFrac:
+	case sig.QueueFrac >= QueueHighFrac:
 		return ruleScaleUpQueue, true
-	case sig.MaxUtil >= c.cfg.UtilHigh && sig.Unbalancedness >= c.cfg.UnbalanceHigh:
+	case sig.MaxUtil >= UtilHigh && sig.Unbalancedness >= UnbalanceHigh:
 		return ruleScaleUpSkew, true
 	}
 	return 0, false
@@ -476,7 +441,7 @@ func (c *Controller) stepJoiners(now time.Time, sig Signals) *Decision {
 		return nil
 	}
 	upRule, up := c.scaleUpWanted(sig)
-	down := sig.MeanUtil <= c.cfg.UtilLow && sig.QueueFrac < c.cfg.QueueHighFrac &&
+	down := sig.MeanUtil <= UtilLow && sig.QueueFrac < QueueHighFrac &&
 		c.p99Healthy(sig) && sig.MemLevel == 0
 	switch {
 	case up:
@@ -488,11 +453,11 @@ func (c *Controller) stepJoiners(now time.Time, sig Signals) *Decision {
 	default:
 		c.upHold, c.downHold = 0, 0
 	}
-	if up && c.upHold >= c.cfg.HoldEpochs && c.joiners < c.cfg.MaxJoiners &&
+	if up && c.upHold >= c.cfg.holdEpochs && c.joiners < c.cfg.MaxJoiners &&
 		c.cooled(sig.Epoch, c.lastJoiners) {
 		return c.resizeTo(now, sig, upRule, c.joiners+1)
 	}
-	if down && c.downHold >= c.cfg.RelaxEpochs && c.joiners > c.cfg.MinJoiners &&
+	if down && c.downHold >= c.cfg.relaxEpochs && c.joiners > MinJoiners &&
 		c.cooled(sig.Epoch, c.lastJoiners) {
 		return c.resizeTo(now, sig, ruleScaleDown, c.joiners-1)
 	}
@@ -523,7 +488,7 @@ func (c *Controller) stepAdmission(now time.Time, sig Signals) *Decision {
 	}
 	burning := sig.MemLevel >= 2
 	if c.cfg.P99Target > 0 && sig.P99 > 0 &&
-		float64(sig.P99) >= c.cfg.P99HighFrac*float64(c.cfg.P99Target) {
+		float64(sig.P99) >= P99HighFrac*float64(c.cfg.P99Target) {
 		burning = true
 	}
 	healthy := sig.MemLevel == 0 && c.p99Healthy(sig)
@@ -537,11 +502,11 @@ func (c *Controller) stepAdmission(now time.Time, sig Signals) *Decision {
 	default:
 		c.tightHold, c.relaxHold = 0, 0
 	}
-	if burning && c.tightHold >= c.cfg.HoldEpochs && c.admission < AdmissionReject &&
+	if burning && c.tightHold >= c.cfg.holdEpochs && c.admission < AdmissionReject &&
 		c.cooled(sig.Epoch, c.lastAdm) {
 		return c.admitTo(now, sig, ruleTighten, c.admission+1)
 	}
-	if healthy && c.relaxHold >= c.cfg.RelaxEpochs && c.admission > c.boot.Admission &&
+	if healthy && c.relaxHold >= c.cfg.relaxEpochs && c.admission > c.boot.Admission &&
 		c.cooled(sig.Epoch, c.lastAdm) {
 		return c.admitTo(now, sig, ruleRelax, c.admission-1)
 	}
@@ -579,8 +544,8 @@ func (c *Controller) stepTrace(now time.Time, sig Signals) *Decision {
 	} else {
 		c.pressureHold = 0
 	}
-	coarse := c.boot.TraceSampleN * c.cfg.TracePressureFactor
-	if c.pressureHold >= c.cfg.HoldEpochs && c.traceN == c.boot.TraceSampleN &&
+	coarse := c.boot.TraceSampleN * TracePressureFactor
+	if c.pressureHold >= c.cfg.holdEpochs && c.traceN == c.boot.TraceSampleN &&
 		c.cooled(sig.Epoch, c.lastTrace) {
 		d := c.apply(now, sig, ruleTraceCoarsen, "trace_sample_n",
 			int64(c.traceN), int64(coarse), "", "", func() bool {
@@ -594,7 +559,7 @@ func (c *Controller) stepTrace(now time.Time, sig Signals) *Decision {
 		return d
 	}
 	if !c.underPressure(sig) && sig.MemLevel == 0 && c.traceN != c.boot.TraceSampleN &&
-		c.relaxHold >= c.cfg.RelaxEpochs && c.cooled(sig.Epoch, c.lastTrace) {
+		c.relaxHold >= c.cfg.relaxEpochs && c.cooled(sig.Epoch, c.lastTrace) {
 		d := c.apply(now, sig, ruleTraceRestore, "trace_sample_n",
 			int64(c.traceN), int64(c.boot.TraceSampleN), "", "", func() bool {
 				c.act.SetTraceSample(c.boot.TraceSampleN)
@@ -622,20 +587,20 @@ func (c *Controller) stepMem(now time.Time, sig Signals) *Decision {
 	} else {
 		c.memTightHold, c.memRelax = 0, 0
 	}
-	if c.memTightHold >= c.cfg.HoldEpochs && c.memSoftPct != c.cfg.MemSoftPctTight &&
+	if c.memTightHold >= c.cfg.holdEpochs && c.memSoftPct != MemSoftPctTight &&
 		c.cooled(sig.Epoch, c.lastMem) {
 		d := c.apply(now, sig, ruleMemTighten, "mem_soft_pct",
-			int64(c.memSoftPct), int64(c.cfg.MemSoftPctTight), "", "", func() bool {
-				c.act.SetMemSoftPct(c.cfg.MemSoftPctTight)
+			int64(c.memSoftPct), int64(MemSoftPctTight), "", "", func() bool {
+				c.act.SetMemSoftPct(MemSoftPctTight)
 				return true
 			})
 		if d != nil {
-			c.memSoftPct = c.cfg.MemSoftPctTight
+			c.memSoftPct = MemSoftPctTight
 			c.lastMem = sig.Epoch
 		}
 		return d
 	}
-	if c.memRelax >= c.cfg.RelaxEpochs && c.memSoftPct != c.boot.MemSoftPct &&
+	if c.memRelax >= c.cfg.relaxEpochs && c.memSoftPct != c.boot.MemSoftPct &&
 		c.cooled(sig.Epoch, c.lastMem) {
 		d := c.apply(now, sig, ruleMemRestore, "mem_soft_pct",
 			int64(c.memSoftPct), int64(c.boot.MemSoftPct), "", "", func() bool {
@@ -785,14 +750,14 @@ func (c *Controller) Snapshot() Snapshot {
 			TraceN: c.boot.TraceSampleN, MemSoftPct: c.boot.MemSoftPct,
 		},
 		Policy: PolicySnap{
-			MinJoiners: c.cfg.MinJoiners, MaxJoiners: c.cfg.MaxJoiners,
-			UtilHigh: c.cfg.UtilHigh, UtilLow: c.cfg.UtilLow,
-			UnbalanceHigh: c.cfg.UnbalanceHigh, QueueHighFrac: c.cfg.QueueHighFrac,
+			MinJoiners: MinJoiners, MaxJoiners: c.cfg.MaxJoiners,
+			UtilHigh: UtilHigh, UtilLow: UtilLow,
+			UnbalanceHigh: UnbalanceHigh, QueueHighFrac: QueueHighFrac,
 			P99TargetMS:        float64(c.cfg.P99Target) / float64(time.Millisecond),
-			HoldEpochs:         c.cfg.HoldEpochs,
-			RelaxEpochs:        c.cfg.RelaxEpochs,
-			CooldownEpochs:     c.cfg.CooldownEpochs,
-			MaxDecisionsPerMin: c.cfg.MaxDecisionsPerMin,
+			HoldEpochs:         c.cfg.holdEpochs,
+			RelaxEpochs:        c.cfg.relaxEpochs,
+			CooldownEpochs:     c.cfg.cooldownEpochs,
+			MaxDecisionsPerMin: c.cfg.maxDecisionsPerMin,
 		},
 		Applied:    c.applied,
 		Suppressed: c.suppressed,

@@ -38,13 +38,12 @@ func (f *fakeActs) actuators() Actuators {
 func testCfg() Config {
 	return Config{
 		Enabled:            true,
-		MinJoiners:         1,
 		MaxJoiners:         4,
 		P99Target:          100 * time.Millisecond,
-		HoldEpochs:         2,
-		RelaxEpochs:        3,
-		CooldownEpochs:     2,
-		MaxDecisionsPerMin: 100,
+		holdEpochs:         2,
+		relaxEpochs:        3,
+		cooldownEpochs:     2,
+		maxDecisionsPerMin: 100,
 	}
 }
 
@@ -287,7 +286,7 @@ func TestOverrideAppliesAndRecords(t *testing.T) {
 // epochs right after an operator's resize cannot undo it.
 func TestOverrideStartsCooldown(t *testing.T) {
 	cfg := testCfg()
-	cfg.CooldownEpochs = 5
+	cfg.cooldownEpochs = 5
 	acts := &fakeActs{}
 	c := New(cfg, testBoot(), acts.actuators(), nil)
 	now := time.Unix(1000, 0)
@@ -317,7 +316,7 @@ func TestOverrideStartsCooldown(t *testing.T) {
 	if _, err := c.Override(now.Add(2500*time.Millisecond), "admission", AdmissionReject); err != nil {
 		t.Fatal(err)
 	}
-	for e := uint64(3); e < 2+uint64(cfg.CooldownEpochs); e++ {
+	for e := uint64(3); e < 2+uint64(cfg.cooldownEpochs); e++ {
 		if got := step(e); len(got) != 0 {
 			t.Fatalf("epoch %d: decision inside the override's cooldown: %+v", e, got)
 		}
@@ -326,7 +325,7 @@ func TestOverrideStartsCooldown(t *testing.T) {
 		t.Fatalf("actuators touched inside the cooldown: resizes %v admissions %v", acts.resizes, acts.admissions)
 	}
 	// The cooldown ends: the idle rules act again, one step each.
-	got := step(2 + uint64(cfg.CooldownEpochs))
+	got := step(2 + uint64(cfg.cooldownEpochs))
 	if len(got) != 2 || got[0].Actuator != "joiners" || got[0].New != 2 ||
 		got[1].Actuator != "admission" || got[1].New != AdmissionShed {
 		t.Fatalf("first decisions after the cooldown = %+v", got)
@@ -335,9 +334,9 @@ func TestOverrideStartsCooldown(t *testing.T) {
 
 func TestDecisionRateBounded(t *testing.T) {
 	cfg := testCfg()
-	cfg.HoldEpochs = 1
-	cfg.CooldownEpochs = 1
-	cfg.MaxDecisionsPerMin = 2
+	cfg.holdEpochs = 1
+	cfg.cooldownEpochs = 1
+	cfg.maxDecisionsPerMin = 2
 	cfg.MaxJoiners = 64
 	acts := &fakeActs{}
 	c := New(cfg, testBoot(), acts.actuators(), nil)

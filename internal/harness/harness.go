@@ -15,6 +15,7 @@ import (
 	"oij/internal/mldb"
 	"oij/internal/obs"
 	"oij/internal/scaleoij"
+	"oij/internal/sched"
 	"oij/internal/splitjoin"
 	"oij/internal/trace"
 	"oij/internal/tuple"
@@ -39,25 +40,25 @@ func Engines() []string {
 	return []string{KeyOIJ, ScaleOIJ, ScaleOIJNoInc, ScaleOIJNoDyn, ScaleOIJStatic, ScaleOIJIncOnly, SplitJoin, OpenMLDB, RefJoin}
 }
 
-// Build constructs an engine variant by name.
+// Build constructs an engine variant by name. It returns an error for an
+// unknown name and for a Scale-OIJ variant asked for more joiners than
+// its read-set masks hold.
 func Build(name string, cfg engine.Config, sink engine.Sink) (engine.Engine, error) {
+	var o scaleoij.Options
 	switch name {
 	case KeyOIJ:
 		return keyoij.New(cfg, sink), nil
 	case ScaleOIJ:
-		return scaleoij.New(cfg, scaleoij.Default(), sink), nil
+		o = scaleoij.Default()
 	case ScaleOIJNoInc:
-		o := scaleoij.Default()
+		o = scaleoij.Default()
 		o.Incremental = false
-		return scaleoij.New(cfg, o, sink), nil
 	case ScaleOIJNoDyn:
-		o := scaleoij.Default()
+		o = scaleoij.Default()
 		o.DynamicSchedule = false
-		return scaleoij.New(cfg, o, sink), nil
 	case ScaleOIJStatic:
-		return scaleoij.New(cfg, scaleoij.Options{}, sink), nil
 	case ScaleOIJIncOnly:
-		return scaleoij.New(cfg, scaleoij.Options{Incremental: true}, sink), nil
+		o = scaleoij.Options{Incremental: true}
 	case SplitJoin:
 		return splitjoin.New(cfg, sink), nil
 	case OpenMLDB:
@@ -67,6 +68,10 @@ func Build(name string, cfg engine.Config, sink engine.Sink) (engine.Engine, err
 	default:
 		return nil, fmt.Errorf("harness: unknown engine %q (known: %v)", name, Engines())
 	}
+	if cfg.Joiners > sched.MaxJoiners {
+		return nil, fmt.Errorf("harness: %s: %d joiners exceeds the %d-joiner mask limit", name, cfg.Joiners, sched.MaxJoiners)
+	}
+	return scaleoij.New(cfg, o, sink), nil
 }
 
 // RunConfig describes one measured run.

@@ -7,6 +7,7 @@ import (
 	"oij/internal/agg"
 	"oij/internal/engine"
 	"oij/internal/refjoin"
+	"oij/internal/sched"
 	"oij/internal/window"
 	"oij/internal/workload"
 )
@@ -29,6 +30,18 @@ func TestBuildUnknownEngine(t *testing.T) {
 	_, err := Build("nope", engine.Config{Joiners: 1, Window: window.Spec{Pre: 1}}, engine.NullSink{})
 	if err == nil {
 		t.Fatal("expected error for unknown engine name")
+	}
+}
+
+// TestBuildTooManyJoiners: a Scale-OIJ variant asked for more joiners
+// than its read-set masks hold is an error, not a panic. Build starts no
+// goroutines, so nothing needs stopping.
+func TestBuildTooManyJoiners(t *testing.T) {
+	cfg := engine.Config{Joiners: sched.MaxJoiners + 1, Window: window.Spec{Pre: 1}}
+	for _, name := range []string{ScaleOIJ, ScaleOIJNoInc, ScaleOIJNoDyn, ScaleOIJStatic, ScaleOIJIncOnly} {
+		if _, err := Build(name, cfg, engine.NullSink{}); err == nil {
+			t.Errorf("Build(%s, %d joiners): expected error", name, cfg.Joiners)
+		}
 	}
 }
 

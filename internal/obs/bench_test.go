@@ -18,7 +18,7 @@ func buildScrapeRegistry(joiners int) *Registry {
 	r.NewGaugeVec("oij_watermark_lag_seconds", "watermark lag", joiners)
 	r.NewGaugeFunc("oij_uptime_seconds", "process uptime", func() float64 { return 42.5 })
 	util := r.NewGaugeVec("oij_joiner_utilization", "fraction of epoch spent joining", joiners)
-	lat := r.NewHistogramVec("oij_probe_latency_seconds", "probe latency", joiners, 1e9, nil)
+	lat := r.NewHistogramVec("oij_probe_latency_seconds", "probe latency", joiners)
 	for i := 0; i < joiners; i++ {
 		probes.Shard(i).Add(int64(1000 * (i + 1)))
 		bases.Shard(i).Add(int64(500 * (i + 1)))

@@ -87,10 +87,10 @@ func NewCollector(r *Registry) *Collector {
 		}
 		add(v.name+SuffixP50, func(time.Duration) float64 {
 			tick()
-			return float64(delta.Quantile(0.5)) / v.scale
+			return float64(delta.Quantile(0.5)) / nsPerSecond
 		})
 		add(v.name+SuffixP99, func(time.Duration) float64 {
-			return float64(delta.Quantile(0.99)) / v.scale
+			return float64(delta.Quantile(0.99)) / nsPerSecond
 		})
 		add(v.name+SuffixRate, func(elapsed time.Duration) float64 {
 			return rate(float64(delta.N), elapsed)

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -98,14 +97,15 @@ func (v *GaugeVec) Values() []float64 {
 }
 
 // HistogramVec is a named family of per-shard streaming histograms.
-// Values are recorded in the given unit and rendered to Prometheus scaled
-// by 1/scale (e.g. record nanoseconds, scale 1e9, render seconds).
+// Values are recorded in nanoseconds and rendered to Prometheus in
+// seconds.
 type HistogramVec struct {
 	name, help string
-	scale      float64
-	quantiles  []float64
 	shards     []Histogram
 }
+
+// nsPerSecond converts recorded nanoseconds to rendered seconds.
+const nsPerSecond = 1e9
 
 // Shard returns histogram i (single writer per shard).
 func (v *HistogramVec) Shard(i int) *Histogram { return &v.shards[i] }
@@ -155,9 +155,9 @@ type Registry struct {
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// DefaultQuantiles are the summary quantiles rendered for histograms —
-// the grid the paper's CDF figures read off (§III-B).
-var DefaultQuantiles = []float64{0.5, 0.9, 0.99, 0.999}
+// summaryQuantiles are the summary quantiles rendered for histograms,
+// ascending — the grid the paper's CDF figures read off (§III-B).
+var summaryQuantiles = []float64{0.5, 0.9, 0.99, 0.999}
 
 // NewCounterVec registers a counter family with the given shard count.
 func (r *Registry) NewCounterVec(name, help string, shards int) *CounterVec {
@@ -206,19 +206,9 @@ func (r *Registry) NewInfo(name, help string, labels [][2]string) {
 	r.mu.Unlock()
 }
 
-// NewHistogramVec registers a histogram family. scale divides recorded
-// values on output (0 means 1); quantiles nil means DefaultQuantiles.
-// Quantiles are sorted once here so the scrape path never re-sorts.
-func (r *Registry) NewHistogramVec(name, help string, shards int, scale float64, quantiles []float64) *HistogramVec {
-	if scale == 0 {
-		scale = 1
-	}
-	if quantiles == nil {
-		quantiles = DefaultQuantiles
-	}
-	qs := append([]float64(nil), quantiles...)
-	sort.Float64s(qs)
-	v := &HistogramVec{name: name, help: help, scale: scale, quantiles: qs, shards: make([]Histogram, shards)}
+// NewHistogramVec registers a histogram family of nanosecond values.
+func (r *Registry) NewHistogramVec(name, help string, shards int) *HistogramVec {
+	v := &HistogramVec{name: name, help: help, shards: make([]Histogram, shards)}
 	r.mu.Lock()
 	r.hists = append(r.hists, v)
 	r.mu.Unlock()
@@ -306,17 +296,17 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		for i := range v.shards {
 			s.Merge(&v.shards[i])
 		}
-		for _, q := range v.quantiles {
+		for _, q := range summaryQuantiles {
 			b = append(b, v.name...)
 			b = append(b, `{quantile="`...)
 			b = appendFloat(b, q)
 			b = append(b, `"} `...)
-			b = appendFloat(b, float64(s.Quantile(q))/v.scale)
+			b = appendFloat(b, float64(s.Quantile(q))/nsPerSecond)
 			b = append(b, '\n')
 		}
 		b = append(b, v.name...)
 		b = append(b, "_sum "...)
-		b = appendFloat(b, float64(s.Sum)/v.scale)
+		b = appendFloat(b, float64(s.Sum)/nsPerSecond)
 		b = append(b, '\n')
 		b = append(b, v.name...)
 		b = append(b, "_count "...)

@@ -255,7 +255,7 @@ func TestInstrumentsConcurrent(t *testing.T) {
 	const shards = 4
 	c := r.NewCounterVec("c_total", "h", shards)
 	g := r.NewGaugeVec("g", "h", shards)
-	h := r.NewHistogramVec("h_seconds", "h", shards, 1e9, nil)
+	h := r.NewHistogramVec("h_seconds", "h", shards)
 	r.NewGaugeFunc("gf", "h", func() float64 { return float64(c.Total()) })
 	r.NewGaugeVecFunc("gvf", "h", func() []float64 { return g.Values() })
 
@@ -307,7 +307,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	v := r.NewCounterVec("oij_results_total", "Results.", 2)
 	v.Shard(1).Add(3)
 	r.NewGaugeFunc("oij_lag", "Lag.", func() float64 { return 1.5 })
-	h := r.NewHistogramVec("oij_latency_seconds", "Latency.", 1, 1e9, []float64{0.5})
+	h := r.NewHistogramVec("oij_latency_seconds", "Latency.", 1)
 	h.Shard(0).Observe(2_000_000_000)
 
 	var sb strings.Builder
@@ -342,8 +342,8 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 }
 
-// sortedQuantileCheck guards the nearest-rank convention shared with
-// metrics.CDF: 100 samples 1..100 → p99 is the 99th value.
+// TestHistogramNearestRank guards the nearest-rank quantile convention:
+// 100 samples 1..100 → p99 is the 99th value.
 func TestHistogramNearestRank(t *testing.T) {
 	var h Histogram
 	for v := int64(1); v <= 100; v++ {

@@ -39,15 +39,13 @@ func (t TierSpec) Name() string {
 	return fmt.Sprintf("%ds", t.Step/time.Second)
 }
 
-// DefaultTiers is the retention ladder the issue's operators read: the
-// last 5 minutes at full epoch resolution, the last hour at 10s, the last
-// day at 1m.
-func DefaultTiers() []TierSpec {
-	return []TierSpec{
-		{Step: time.Second, Slots: 300},
-		{Step: 10 * time.Second, Slots: 360},
-		{Step: time.Minute, Slots: 1440},
-	}
+// defaultTiers is the retention ladder operators read: the last 5
+// minutes at full epoch resolution, the last hour at 10s, the last day at
+// 1m.
+var defaultTiers = []TierSpec{
+	{Step: time.Second, Slots: 300},
+	{Step: 10 * time.Second, Slots: 360},
+	{Step: time.Minute, Slots: 1440},
 }
 
 // slot is one tier ring entry: a bucket stamp plus per-series aggregates.
@@ -86,12 +84,12 @@ type Timeline struct {
 	memory int64
 }
 
-// New builds a timeline for the given series names over the given tiers
-// (nil tiers means DefaultTiers). All memory is allocated here.
-func New(names []string, tiers []TierSpec) *Timeline {
-	if tiers == nil {
-		tiers = DefaultTiers()
-	}
+// New builds a timeline for the given series names over the default
+// tiers. All memory is allocated here.
+func New(names []string) *Timeline { return newTimeline(names, defaultTiers) }
+
+// newTimeline builds a timeline over the given tiers.
+func newTimeline(names []string, tiers []TierSpec) *Timeline {
 	tl := &Timeline{
 		names: append([]string(nil), names...),
 		index: make(map[string]int, len(names)),
@@ -100,12 +98,6 @@ func New(names []string, tiers []TierSpec) *Timeline {
 		tl.index[n] = i
 	}
 	for _, spec := range tiers {
-		if spec.Step < time.Second {
-			spec.Step = time.Second
-		}
-		if spec.Slots < 1 {
-			spec.Slots = 1
-		}
 		t := tier{spec: spec, ring: make([]slot, spec.Slots)}
 		for i := range t.ring {
 			t.ring[i] = slot{

@@ -11,7 +11,7 @@ func at(unix int64) time.Time { return time.Unix(unix, 0) }
 // fold into a single aligned point whose avg/max/n aggregate them, while
 // the fine tier keeps them apart.
 func TestTierAlignmentAndDownsampling(t *testing.T) {
-	tl := New([]string{"v"}, []TierSpec{
+	tl := newTimeline([]string{"v"}, []TierSpec{
 		{Step: time.Second, Slots: 60},
 		{Step: 10 * time.Second, Slots: 30},
 	})
@@ -56,7 +56,7 @@ func TestTierAlignmentAndDownsampling(t *testing.T) {
 // are overwritten in arrival order and queries return only the retained
 // window, oldest first.
 func TestRingWrapAround(t *testing.T) {
-	tl := New([]string{"v"}, []TierSpec{{Step: time.Second, Slots: 5}})
+	tl := newTimeline([]string{"v"}, []TierSpec{{Step: time.Second, Slots: 5}})
 	for i := int64(0); i < 12; i++ {
 		tl.Record(at(100+i), []float64{float64(i)})
 	}
@@ -80,7 +80,7 @@ func TestRingWrapAround(t *testing.T) {
 // when it resumes; the skipped buckets are absent from query results, not
 // zero-filled or interpolated.
 func TestEpochGapsAfterStall(t *testing.T) {
-	tl := New([]string{"v"}, []TierSpec{{Step: time.Second, Slots: 10}})
+	tl := newTimeline([]string{"v"}, []TierSpec{{Step: time.Second, Slots: 10}})
 	tl.Record(at(200), []float64{1})
 	tl.Record(at(201), []float64{2})
 	// 6-second stall.
@@ -117,7 +117,7 @@ func TestEpochGapsAfterStall(t *testing.T) {
 // TestSinceAndSeriesSelection: since filters by slot start; unknown series
 // and resolutions are errors.
 func TestSinceAndSeriesSelection(t *testing.T) {
-	tl := New([]string{"a", "b"}, []TierSpec{{Step: time.Second, Slots: 10}})
+	tl := newTimeline([]string{"a", "b"}, []TierSpec{{Step: time.Second, Slots: 10}})
 	for i := int64(0); i < 6; i++ {
 		tl.Record(at(300+i), []float64{float64(i), float64(10 * i)})
 	}
@@ -145,7 +145,7 @@ func TestSinceAndSeriesSelection(t *testing.T) {
 // TestNaNSkipsSeries: NaN marks a series as absent for the tick without
 // disturbing the others.
 func TestNaNSkipsSeries(t *testing.T) {
-	tl := New([]string{"a", "b"}, nil)
+	tl := New([]string{"a", "b"})
 	nan := func() float64 { var z float64; return z / z }
 	tl.Record(at(400), []float64{1, nan()})
 	doc, err := tl.Query(nil, "1s", 0)
@@ -168,7 +168,7 @@ func TestBoundedMemoryAndDefaults(t *testing.T) {
 	for i := range names {
 		names[i] = string(rune('a' + i%26))
 	}
-	tl := New(names, nil)
+	tl := New(names)
 	res := tl.Resolutions()
 	if len(res) != 3 || res[0] != "1s" || res[1] != "10s" || res[2] != "1m" {
 		t.Fatalf("default resolutions = %v", res)
@@ -203,7 +203,7 @@ func TestBoundedMemoryAndDefaults(t *testing.T) {
 // TestWindowStats: the SLO primitive averages the trailing window on the
 // finest tier and reports absence when the window is empty.
 func TestWindowStats(t *testing.T) {
-	tl := New([]string{"v"}, nil)
+	tl := New([]string{"v"})
 	if _, _, ok := tl.WindowStats("v", 10*time.Second, at(500)); ok {
 		t.Fatal("empty timeline reported a window")
 	}

@@ -175,7 +175,7 @@ func runCell(c *Cell, gen map[string][]tuple.Tuple, fr *trace.Flight, telemetry 
 			return engine.HashKey(tuple.Key(h))
 		})
 		rc.HotKeys = hk
-		tl := timeline.New([]string{"hotkey_top1", "hotkey_topk"}, nil)
+		tl := timeline.New([]string{"hotkey_top1", "hotkey_topk"})
 		stop := make(chan struct{})
 		done := make(chan struct{})
 		go func() {

@@ -42,10 +42,15 @@ type Options struct {
 	Incremental bool
 	// Sched tunes the balancer.
 	Sched sched.Config
-	// RescheduleEvery is the number of ingested tuples between balancer
-	// passes (default 32768).
-	RescheduleEvery int
+
+	// rescheduleEvery replaces defaultRescheduleEvery when set; tests
+	// shorten it to rebalance often.
+	rescheduleEvery int
 }
+
+// defaultRescheduleEvery is the number of ingested tuples between
+// balancer passes.
+const defaultRescheduleEvery = 32768
 
 // Default returns all optimizations enabled, with cold virtual teams
 // shrinking back to their home joiner so the schedule tracks shifting hot
@@ -63,8 +68,8 @@ func (o Options) withDefaults() Options {
 	if o.DynamicSchedule {
 		o.SharedProcessing = true
 	}
-	if o.RescheduleEvery <= 0 {
-		o.RescheduleEvery = 32768
+	if o.rescheduleEvery <= 0 {
+		o.rescheduleEvery = defaultRescheduleEvery
 	}
 	o.Sched = o.Sched.WithDefaults()
 	return o
@@ -175,7 +180,7 @@ func (e *Engine) Ingest(t tuple.Tuple) {
 
 	if e.opt.DynamicSchedule {
 		e.sinceBal++
-		if e.sinceBal >= e.opt.RescheduleEvery {
+		if e.sinceBal >= e.opt.rescheduleEvery {
 			e.sinceBal = 0
 			e.rebalance(t.TS)
 		}

@@ -41,8 +41,8 @@ func TestOptionsNormalization(t *testing.T) {
 	if !o.SharedProcessing {
 		t.Fatal("DynamicSchedule did not imply SharedProcessing")
 	}
-	if o.RescheduleEvery <= 0 {
-		t.Fatal("RescheduleEvery default missing")
+	if o.rescheduleEvery <= 0 {
+		t.Fatal("rescheduleEvery default missing")
 	}
 	d := Default()
 	if !d.SharedProcessing || !d.DynamicSchedule || !d.Incremental {
@@ -161,7 +161,7 @@ func TestDynamicScheduleBalances(t *testing.T) {
 
 	unb := map[bool]float64{}
 	for _, dyn := range []bool{false, true} {
-		o := Options{SharedProcessing: true, DynamicSchedule: dyn, RescheduleEvery: 8192}
+		o := Options{SharedProcessing: true, DynamicSchedule: dyn, rescheduleEvery: 8192}
 		e := New(engine.Config{Joiners: 8, Window: w, Agg: agg.Sum}, o, engine.NullSink{})
 		replay(e, stream)
 		unb[dyn] = metrics.Unbalancedness(e.Stats().Loads())
@@ -182,7 +182,7 @@ func TestSharedProcessingCorrectUnderRebalance(t *testing.T) {
 	want := refjoin.ByBaseSeq(refjoin.EventTime(stream, w, agg.Sum))
 
 	o := Default()
-	o.RescheduleEvery = 2048 // rebalance ~30 times during the run
+	o.rescheduleEvery = 2048 // rebalance ~30 times during the run
 	sink := &engine.CollectSink{}
 	e := New(engine.Config{Joiners: 6, Window: w, Agg: agg.Sum, Mode: engine.OnWatermark}, o, sink)
 	replay(e, stream)

@@ -62,9 +62,7 @@ func (s *Server) controlSignals(now time.Time, epoch uint64) control.Signals {
 	}
 	sig.Unbalancedness = metrics.Unbalancedness(loads)
 
-	if c := cap(s.ingest); c > 0 {
-		sig.QueueFrac = float64(len(s.ingest)) / float64(c)
-	}
+	sig.QueueFrac = float64(len(s.ingest)) / float64(cap(s.ingest))
 	_, _, lag := s.watermarkLag()
 	sig.WatermarkLagS = float64(lag) / 1e6
 

@@ -50,7 +50,7 @@ type serverObs struct {
 
 	// Hot-key analytics: one SpaceSaving sketch per joiner per stream,
 	// keys routed by the engines' own partition hash so skew is attributed
-	// to the joiner that actually absorbs it. Nil when disabled.
+	// to the joiner that actually absorbs it.
 	hotProbes *obs.HotKeys
 	hotBases  *obs.HotKeys
 
@@ -123,7 +123,7 @@ func newServerObs(s *Server, joiners int) *serverObs {
 		probes:  reg.NewCounter("oij_probes_total", "Probe tuples ingested over the network."),
 		bases:   reg.NewCounter("oij_requests_total", "Base (feature request) tuples ingested."),
 		results: reg.NewCounterVec("oij_results_total", "Join results emitted, per joiner.", joiners),
-		latency: reg.NewHistogramVec("oij_request_latency_seconds", "Request latency from arrival to result emission.", joiners, 1e9, nil),
+		latency: reg.NewHistogramVec("oij_request_latency_seconds", "Request latency from arrival to result emission.", joiners),
 		util:    reg.NewGaugeVec("oij_joiner_utilization", "Per-joiner busy fraction over the last epoch (Fig. 14, live).", joiners),
 		started: time.Now(),
 	}
@@ -213,7 +213,7 @@ func newServerObs(s *Server, joiners int) *serverObs {
 		return float64(s.eng.Stalls().Parks)
 	})
 	reg.NewGaugeFunc("oij_stalled_joiners", "Joiners whose input ring has blocked the driver past the stall threshold.", func() float64 {
-		return float64(len(s.eng.Stalls().Wedged(s.cfg.StallThreshold)))
+		return float64(len(s.eng.Stalls().Wedged(stallThreshold)))
 	})
 	reg.NewGaugeFunc("oij_wal_errors", "WAL append failures since startup.", func() float64 {
 		return float64(s.walErrs.Load())
@@ -278,27 +278,25 @@ func newServerObs(s *Server, joiners int) *serverObs {
 		}
 		return 0
 	})
-	if k := s.cfg.HotKeysK; k > 0 {
-		hash := func(h uint64) uint64 { return engine.HashKey(tuple.Key(h)) }
-		o.hotProbes = obs.NewHotKeys(joiners, k, hash)
-		o.hotBases = obs.NewHotKeys(joiners, k, hash)
-		reg.NewGaugeFunc("oij_hotkey_probe_top1_share", "Stream share of the hottest probe key (SpaceSaving merge across joiners).", func() float64 {
-			top1, _ := o.hotProbes.TopShare(k)
-			return top1
-		})
-		reg.NewGaugeFunc("oij_hotkey_probe_topk_share", "Stream share of the merged probe top-K residency.", func() float64 {
-			_, topK := o.hotProbes.TopShare(k)
-			return topK
-		})
-		reg.NewGaugeFunc("oij_hotkey_base_top1_share", "Stream share of the hottest request key.", func() float64 {
-			top1, _ := o.hotBases.TopShare(k)
-			return top1
-		})
-		reg.NewGaugeFunc("oij_hotkey_base_topk_share", "Stream share of the merged request top-K residency.", func() float64 {
-			_, topK := o.hotBases.TopShare(k)
-			return topK
-		})
-	}
+	hash := func(h uint64) uint64 { return engine.HashKey(tuple.Key(h)) }
+	o.hotProbes = obs.NewHotKeys(joiners, hotKeysK, hash)
+	o.hotBases = obs.NewHotKeys(joiners, hotKeysK, hash)
+	reg.NewGaugeFunc("oij_hotkey_probe_top1_share", "Stream share of the hottest probe key (SpaceSaving merge across joiners).", func() float64 {
+		top1, _ := o.hotProbes.TopShare(hotKeysK)
+		return top1
+	})
+	reg.NewGaugeFunc("oij_hotkey_probe_topk_share", "Stream share of the merged probe top-K residency.", func() float64 {
+		_, topK := o.hotProbes.TopShare(hotKeysK)
+		return topK
+	})
+	reg.NewGaugeFunc("oij_hotkey_base_top1_share", "Stream share of the hottest request key.", func() float64 {
+		top1, _ := o.hotBases.TopShare(hotKeysK)
+		return top1
+	})
+	reg.NewGaugeFunc("oij_hotkey_base_topk_share", "Stream share of the merged request top-K residency.", func() float64 {
+		_, topK := o.hotBases.TopShare(hotKeysK)
+		return topK
+	})
 	reg.NewGaugeFunc("oij_active_joiners", "Joiners currently routed new work (controller-resized; equals the pool when static).", func() float64 {
 		return float64(s.activeJoiners())
 	})
@@ -378,7 +376,7 @@ func newServerObs(s *Server, joiners int) *serverObs {
 	// including the SLO verdict and hot-key shares — becomes a timeline
 	// series; instruments must not be registered after this point.
 	o.collector = obs.NewCollector(reg)
-	o.timeline = timeline.New(o.collector.Names(), nil)
+	o.timeline = timeline.New(o.collector.Names())
 	return o
 }
 
@@ -446,7 +444,7 @@ func (s *Server) samplerLoop() {
 // watchStalls records stall watchdog edges to the flight recorder.
 func (s *Server) watchStalls() {
 	st := s.eng.Stalls()
-	wedged := st.Wedged(s.cfg.StallThreshold)
+	wedged := st.Wedged(stallThreshold)
 	if len(wedged) > 0 {
 		var maxBlock time.Duration
 		for _, d := range st.BlockedFor {
@@ -679,7 +677,7 @@ func (s *Server) Statusz() Status {
 	}
 	stalls := s.eng.Stalls()
 	out.Overload.StallParks = stalls.Parks
-	out.Overload.StalledJoiners = stalls.Wedged(s.cfg.StallThreshold)
+	out.Overload.StalledJoiners = stalls.Wedged(stallThreshold)
 	rev, goVer, procs := obs.Build()
 	out.Build = BuildStatus{Revision: rev, GoVersion: goVer, GOMAXPROCS: procs}
 	out.Trace = TraceStatus{
@@ -730,15 +728,12 @@ func (s *Server) Statusz() Status {
 		Ticks:       s.o.timeline.Ticks(),
 		MemoryBytes: s.o.timeline.MemoryBytes(),
 	}
-	if s.o.hotProbes != nil {
-		k := s.cfg.HotKeysK
-		hk := &HotKeysStatus{K: k, PerJoinerK: k, JoinerShard: true}
-		hk.Probes = s.o.hotProbes.Merged(k)
-		hk.Bases = s.o.hotBases.Merged(k)
-		hk.ProbesTop1, hk.ProbesTopK = s.o.hotProbes.TopShare(k)
-		hk.BasesTop1, hk.BasesTopK = s.o.hotBases.TopShare(k)
-		out.HotKeys = hk
-	}
+	hk := &HotKeysStatus{K: hotKeysK, PerJoinerK: hotKeysK, JoinerShard: true}
+	hk.Probes = s.o.hotProbes.Merged(hotKeysK)
+	hk.Bases = s.o.hotBases.Merged(hotKeysK)
+	hk.ProbesTop1, hk.ProbesTopK = s.o.hotProbes.TopShare(hotKeysK)
+	hk.BasesTop1, hk.BasesTopK = s.o.hotBases.TopShare(hotKeysK)
+	out.HotKeys = hk
 	h := s.o.latency.Snapshot()
 	msOf := func(ns int64) float64 { return float64(ns) / float64(time.Millisecond) }
 	out.Latency = LatencyStatus{

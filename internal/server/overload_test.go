@@ -91,13 +91,13 @@ func startPipeServer(t *testing.T, cfg Config) (*Server, *pipeListener) {
 
 // tinyCfg is sized so a handful of unread results wedges the pipeline:
 // one joiner, a near-empty funnel, two-slot rings, one-slot session
-// buffers. grace < 0 keeps the legacy block-forever delivery so admission
-// behavior can be observed deterministically.
+// buffers. A grace far longer than the test keeps delivery blocked so
+// admission behavior can be observed deterministically.
 func tinyCfg(admission string, grace time.Duration) Config {
 	return Config{
 		Admission:         admission,
 		SlowConsumerGrace: grace,
-		IngestBuffer:      1,
+		ingestBuffer:      1,
 		ResultBuffer:      1,
 		Engine: engine.Config{
 			Joiners:  1,
@@ -151,7 +151,7 @@ func wedge(t *testing.T, s *Server, pl *pipeListener) net.Conn {
 // second client's requests are answered with overload NACKs instead of
 // queueing, and the transitions are counted.
 func TestRejectPolicyNacks(t *testing.T) {
-	s, pl := startPipeServer(t, tinyCfg(AdmissionReject, -1))
+	s, pl := startPipeServer(t, tinyCfg(AdmissionReject, time.Hour))
 	slow := wedge(t, s, pl)
 	defer slow.Close()
 
@@ -190,7 +190,7 @@ func TestRejectPolicyNacks(t *testing.T) {
 // TestShedProbesPolicy: with the pipeline wedged, probes are dropped and
 // counted instead of blocking the reader.
 func TestShedProbesPolicy(t *testing.T) {
-	s, pl := startPipeServer(t, tinyCfg(AdmissionShedProbes, -1))
+	s, pl := startPipeServer(t, tinyCfg(AdmissionShedProbes, time.Hour))
 	slow := wedge(t, s, pl)
 	defer slow.Close()
 

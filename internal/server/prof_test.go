@@ -29,7 +29,6 @@ func TestProfilingEndToEnd(t *testing.T) {
 	cfg.ProfileDir = t.TempDir()
 	cfg.ProfilePeriod = 150 * time.Millisecond
 	cfg.ProfileCPUSlice = 30 * time.Millisecond
-	cfg.ProfileRetain = 8
 	srv, addr := startServer(t, cfg)
 	base := fmt.Sprintf("http://%s", srv.AdminAddr())
 

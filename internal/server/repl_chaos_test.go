@@ -383,7 +383,7 @@ func TestReplCatchUpAcrossRotation(t *testing.T) {
 	pcfg := replServerCfg(m1)
 	pcfg.ReplListenAddr = "127.0.0.1:0"
 	pcfg.ReplLease = pairLease
-	pcfg.WALSegmentBytes = 40 * wire.WALFrameBytes
+	pcfg.walSegmentBytes = 40 * wire.WALFrameBytes
 	p, err := New(pcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +398,7 @@ func TestReplCatchUpAcrossRotation(t *testing.T) {
 	sendScript(t, paddr.String(), script[:260])
 	oldest := p.wal.Feed().Oldest()
 	if oldest == 0 {
-		t.Fatalf("no rotation after 260 frames in %d-byte segments", pcfg.WALSegmentBytes)
+		t.Fatalf("no rotation after 260 frames in %d-byte segments", pcfg.walSegmentBytes)
 	}
 
 	scfg := replServerCfg(m2)

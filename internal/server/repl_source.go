@@ -28,7 +28,7 @@ const replHandshakeTimeout = 10 * time.Second
 const replStreamBatch = 256
 
 // startSource binds the replication listener and launches the acceptor
-// (and, with a lease armed, the fence watchdog). Runs at Serve time on a
+// and the fence watchdog. Runs at Serve time on a
 // boot primary and again on the ingest goroutine at promotion.
 func (r *replState) startSource() error {
 	ln, err := net.Listen("tcp", r.listenAddr)
@@ -40,10 +40,8 @@ func (r *replState) startSource() error {
 	r.mu.Unlock()
 	r.wg.Add(1)
 	go r.acceptSources(ln)
-	if r.lease > 0 {
-		r.wg.Add(1)
-		go r.fenceWatchdog()
-	}
+	r.wg.Add(1)
+	go r.fenceWatchdog()
 	return nil
 }
 
@@ -191,10 +189,7 @@ func (r *replState) serveSource(conn net.Conn) {
 	// Heartbeats carry the epoch and the live end-of-log; when this node
 	// loses primaryship the same ticker converts into an explicit fence so
 	// the standby promotes without waiting out the full lease.
-	hbEvery := 250 * time.Millisecond
-	if r.lease > 0 {
-		hbEvery = repl.HeartbeatEvery(r.lease)
-	}
+	hbEvery := repl.HeartbeatEvery(r.lease)
 	hbStop := make(chan struct{})
 	defer close(hbStop)
 	go func() {

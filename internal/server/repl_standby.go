@@ -33,7 +33,8 @@ const replAckEvery = 256
 // enqueued to the ingest goroutine.
 func (r *replState) runLink() {
 	defer r.wg.Done()
-	backoff := 50 * time.Millisecond
+	backoff := Backoff{Base: 50 * time.Millisecond, Max: time.Second}
+	attempt := 0
 	for !r.promoted.Load() {
 		select {
 		case <-r.stop:
@@ -43,15 +44,13 @@ func (r *replState) runLink() {
 		conn, err := net.DialTimeout("tcp", r.primaryAddr, replDialTimeout)
 		if err != nil {
 			r.setErr("dial primary: " + err.Error())
-			if !r.sleep(backoff) {
+			if !r.sleep(backoff.Next(attempt)) {
 				return
 			}
-			if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
+			attempt++
 			continue
 		}
-		backoff = 50 * time.Millisecond
+		attempt = 0
 		r.mu.Lock()
 		r.linkConn = conn
 		r.mu.Unlock()
@@ -144,7 +143,9 @@ func (r *replState) linkOnce(conn net.Conn) {
 		}
 	}
 	if m.Kind == repl.TagFence {
-		r.linkFenced(m.Epoch)
+		// The primary has stopped serving and tells us to take over now
+		// rather than wait out the lease.
+		r.triggerPromote()
 		return
 	}
 	if m.Kind != repl.TagWelcome {
@@ -190,14 +191,10 @@ func (r *replState) linkOnce(conn net.Conn) {
 	next := applied
 	ackedAt := applied
 	for {
-		// The read deadline doubles as the liveness probe: with a lease
-		// armed, a silent primary surfaces as a timeout here and the
-		// promote watchdog takes it from there.
-		if r.lease > 0 {
-			conn.SetReadDeadline(time.Now().Add(r.lease))
-		} else {
-			conn.SetReadDeadline(time.Time{})
-		}
+		// The read deadline doubles as the liveness probe: a silent
+		// primary surfaces as a timeout here and the promote watchdog
+		// takes it from there.
+		conn.SetReadDeadline(time.Now().Add(r.lease))
 		m, err := rd.Read()
 		if err != nil {
 			r.setErr("link: " + err.Error())
@@ -243,24 +240,13 @@ func (r *replState) linkOnce(conn net.Conn) {
 				return
 			}
 		case repl.TagFence:
-			r.linkFenced(m.Epoch)
+			r.triggerPromote()
 			return
 		default:
 			r.setErr(fmt.Sprintf("link: unexpected message tag 0x%02x", m.Kind))
 			return
 		}
 	}
-}
-
-// linkFenced handles a fence from the primary: it has stopped serving and
-// is telling us to take over now rather than wait out the lease. Without
-// an armed lease (auto-failover off) it is only reported.
-func (r *replState) linkFenced(epoch uint64) {
-	if r.lease > 0 {
-		r.triggerPromote()
-		return
-	}
-	r.setErr(fmt.Sprintf("primary fenced itself at epoch %d; auto-failover is off (lease 0)", epoch))
 }
 
 // noteCaughtUp records the first catch-up transition of a sync.

@@ -30,7 +30,7 @@ import (
 type replState struct {
 	s *Server
 
-	lease       time.Duration // failure-detection budget D (0: no auto-failover)
+	lease       time.Duration // failure-detection budget D
 	maxLagBytes int64         // lag alarm threshold (0: disabled)
 	listenAddr  string
 	primaryAddr string
@@ -82,9 +82,6 @@ func newReplState(s *Server, cfg Config) *replState {
 		conns:       map[net.Conn]struct{}{},
 		stop:        make(chan struct{}),
 	}
-	if r.lease < 0 {
-		r.lease = 0 // negative disables automatic failover and fencing
-	}
 	if cfg.StandbyOf != "" {
 		r.role.Store(int32(repl.RoleStandby))
 	} else {
@@ -117,10 +114,8 @@ func (r *replState) start() error {
 	if r.primaryAddr != "" {
 		r.wg.Add(1)
 		go r.runLink()
-		if r.lease > 0 {
-			r.wg.Add(1)
-			go r.promoteWatchdog()
-		}
+		r.wg.Add(1)
+		go r.promoteWatchdog()
 	}
 	if r.listenAddr != "" && r.roleNow() == repl.RolePrimary {
 		if err := r.startSource(); err != nil {
@@ -184,7 +179,7 @@ func (r *replState) fence(sawEpoch uint64) {
 // funnel — ordering through the funnel guarantees every replicated frame
 // received before the trigger is applied before the node starts serving.
 func (r *replState) triggerPromote() {
-	if r.lease <= 0 || !r.everSynced.Load() || r.roleNow() != repl.RoleStandby {
+	if !r.everSynced.Load() || r.roleNow() != repl.RoleStandby {
 		return
 	}
 	if r.promoted.CompareAndSwap(false, true) {

@@ -47,8 +47,6 @@ type Config struct {
 	Algorithm string
 	// Engine carries window, lateness, aggregation, joiners, and mode.
 	Engine engine.Config
-	// IngestBuffer is the funnel channel depth (default 4096).
-	IngestBuffer int
 	// ResultBuffer is the per-session outgoing queue depth (default
 	// 1024). A session that stops reading first backpressures itself and
 	// is then evicted after SlowConsumerGrace, so one stuck client cannot
@@ -72,21 +70,15 @@ type Config struct {
 	MemCapProbes int64
 	// SlowConsumerGrace is how long a result delivery may wait on a
 	// session whose outgoing buffer is full before the session is evicted
-	// (default 5s; negative disables eviction and restores the legacy
-	// block-forever behavior). The same bound is applied as a per-frame
-	// write deadline, so a stalled TCP peer cannot wedge the writer.
+	// (default 5s; must not be negative). The same bound is applied as a
+	// per-frame write deadline, so a stalled TCP peer cannot wedge the
+	// writer.
 	SlowConsumerGrace time.Duration
-	// StallThreshold is how long a joiner's input ring may block the
-	// engine driver before the watchdog reports the joiner as wedged on
-	// /statusz (default 1s).
-	StallThreshold time.Duration
 	// WALPath, when set, appends every ingested probe to a write-ahead
 	// log (internal/wal, checksummed frames) and lets Recover rebuild the join
 	// state after a restart. The log keeps at most two segments covering
 	// the join's retention horizon.
 	WALPath string
-	// WALSegmentBytes is the rotation threshold (default 64 MiB).
-	WALSegmentBytes int64
 	// WALSync selects append durability: "interval" (default — fsync on
 	// the heartbeat cadence), "always" (fsync before each append returns),
 	// or "none" (flush to the OS, never fsync).
@@ -130,13 +122,6 @@ type Config struct {
 	// shorter than the period — the ratio bounds profiling overhead).
 	ProfilePeriod   time.Duration
 	ProfileCPUSlice time.Duration
-	// ProfileRetain caps how many profiles the ring keeps (default 32).
-	ProfileRetain int
-	// HotKeysK is the per-joiner slot count of the SpaceSaving hot-key
-	// sketches on the ingest path (default 16; negative disables hot-key
-	// analytics). Any key above a 1/K share of its joiner's stream is
-	// guaranteed resident; memory is K entries per joiner per stream.
-	HotKeysK int
 	// SLOWindow is the trailing window /healthz burn rates are computed
 	// over (default 30s). The window must fit the finest timeline tier
 	// (5 minutes at defaults).
@@ -170,8 +155,8 @@ type Config struct {
 	// ReplLease is the failure-detection budget D for automatic failover:
 	// the primary heartbeats every D/4 and self-fences after 3D/4 without
 	// a standby ack; the standby promotes itself after hearing nothing for
-	// D. Zero defaults to 3s when replication is configured; negative
-	// disables automatic failover and fencing (replication still streams).
+	// D. Zero defaults to 3s when replication is configured; it must not
+	// be negative.
 	ReplLease time.Duration
 	// MaxReplLag, when positive, records a lag_exceeded flight event (and
 	// an incident dump) whenever the un-acked suffix of the primary's log
@@ -184,14 +169,34 @@ type Config struct {
 	// soft memory watermark live from the sampler epoch loop. A zero value
 	// leaves every knob static, exactly as configured.
 	Control control.Config
+
+	// ingestBuffer and walSegmentBytes override the funnel depth and the
+	// WAL rotation threshold; tests shrink them to reach a full funnel or
+	// a rotation quickly. Zero means ingestBuffer and the WAL default.
+	ingestBuffer    int
+	walSegmentBytes int64
 }
+
+const (
+	// ingestBuffer is the funnel channel depth.
+	ingestBuffer = 4096
+	// stallThreshold is how long a joiner's input ring may block the
+	// engine driver before the watchdog reports the joiner as wedged on
+	// /statusz.
+	stallThreshold = time.Second
+	// hotKeysK is the per-joiner slot count of the SpaceSaving hot-key
+	// sketches on the ingest path. Any key above a 1/K share of its
+	// joiner's stream is guaranteed resident; memory is K entries per
+	// joiner per stream.
+	hotKeysK = 16
+)
 
 func (c Config) withDefaults() Config {
 	if c.Algorithm == "" {
 		c.Algorithm = harness.ScaleOIJ
 	}
-	if c.IngestBuffer <= 0 {
-		c.IngestBuffer = 4096
+	if c.ingestBuffer <= 0 {
+		c.ingestBuffer = ingestBuffer
 	}
 	if c.ResultBuffer <= 0 {
 		c.ResultBuffer = 1024
@@ -211,17 +216,11 @@ func (c Config) withDefaults() Config {
 	if c.SlowConsumerGrace == 0 {
 		c.SlowConsumerGrace = 5 * time.Second
 	}
-	if c.StallThreshold <= 0 {
-		c.StallThreshold = time.Second
-	}
 	if c.TraceRing <= 0 {
 		c.TraceRing = 256
 	}
 	if c.FlightRing <= 0 {
 		c.FlightRing = 512
-	}
-	if c.HotKeysK == 0 {
-		c.HotKeysK = 16
 	}
 	if c.SLOWindow <= 0 {
 		c.SLOWindow = 30 * time.Second
@@ -378,6 +377,9 @@ func New(cfg Config) (*Server, error) {
 	if _, err := parseAdmission(cfg.Admission); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
+	if cfg.SlowConsumerGrace < 0 || cfg.ReplLease < 0 {
+		return nil, fmt.Errorf("server: negative slow-consumer grace %s or replication lease %s", cfg.SlowConsumerGrace, cfg.ReplLease)
+	}
 	// With the controller enabled on a resizable engine, the goroutine
 	// pool is sized to the scaling ceiling up front (rings and workers are
 	// never added after Start); the configured joiner count becomes the
@@ -397,7 +399,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:         cfg,
-		ingest:      make(chan ingestReq, cfg.IngestBuffer),
+		ingest:      make(chan ingestReq, cfg.ingestBuffer),
 		pending:     map[uint64]pendingBase{},
 		sessions:    map[*session]struct{}{},
 		stopSampler: make(chan struct{}),
@@ -464,7 +466,6 @@ func New(cfg Config) (*Server, error) {
 			Dir:      cfg.ProfileDir,
 			Period:   cfg.ProfilePeriod,
 			CPUSlice: cfg.ProfileCPUSlice,
-			Retain:   cfg.ProfileRetain,
 			Flight:   s.flight,
 		})
 		if err != nil {
@@ -481,7 +482,7 @@ func New(cfg Config) (*Server, error) {
 		w := cfg.Engine.Window
 		s.wal, err = wal.Open(cfg.WALPath, wal.Options{
 			FS:           cfg.WALFS,
-			SegmentBytes: cfg.WALSegmentBytes,
+			SegmentBytes: cfg.walSegmentBytes,
 			Retention:    2*w.Len() + w.Lateness,
 			Sync:         mode,
 			// A standby's log mirrors the primary's, so its slot offsets
@@ -824,9 +825,7 @@ func (s *Server) ingestLoop() {
 			s.mu.Unlock()
 			req.sess.outstanding.Add(1)
 			s.o.bases.Inc()
-			if s.o.hotBases != nil {
-				s.o.hotBases.Observe(uint64(t.Key))
-			}
+			s.o.hotBases.Observe(uint64(t.Key))
 			if sp := req.sp; sp != nil {
 				sp.Add(trace.StageQueueWait, time.Since(req.enq))
 				// The request's durability cost is the WAL append most
@@ -843,9 +842,7 @@ func (s *Server) ingestLoop() {
 			}
 			s.o.probes.Inc()
 			s.probesIngested.Add(1)
-			if s.o.hotProbes != nil {
-				s.o.hotProbes.Observe(uint64(t.Key))
-			}
+			s.o.hotProbes.Observe(uint64(t.Key))
 			if s.wal != nil {
 				var t0 time.Time
 				traced := s.tracer.Enabled()
@@ -1048,18 +1045,8 @@ func (se *session) deliver(r wire.Result, sp *trace.Span) {
 // queued. A session whose buffer is full gets SlowConsumerGrace to drain;
 // if it is still full after the grace the session is evicted and m
 // dropped, so one stuck client stalls its sender for at most one grace
-// period instead of wedging the engine or the funnel behind it (grace < 0
-// restores the legacy blocking behavior).
+// period instead of wedging the engine or the funnel behind it.
 func (se *session) send(m outMsg) bool {
-	grace := se.s.cfg.SlowConsumerGrace
-	if grace < 0 {
-		select {
-		case se.out <- m:
-			return true
-		case <-se.done:
-			return false
-		}
-	}
 	select {
 	case se.out <- m:
 		return true
@@ -1067,7 +1054,7 @@ func (se *session) send(m outMsg) bool {
 		return false
 	default:
 	}
-	timer := time.NewTimer(grace)
+	timer := time.NewTimer(se.s.cfg.SlowConsumerGrace)
 	se.s.o.countAlloc(trace.StageEmit, 1, timerAllocBytes)
 	defer timer.Stop()
 	select {
@@ -1268,12 +1255,10 @@ func (se *session) sendError(msg string) {
 }
 
 // writeMsg encodes one outgoing frame, bounding the time a stalled TCP
-// peer can hold the writer: with a slow-consumer grace configured, every
-// frame gets that long to make progress before the write fails.
+// peer can hold the writer: every frame gets the slow-consumer grace to
+// make progress before the write fails.
 func (se *session) writeMsg(w *wire.Writer, m wire.Message) error {
-	if grace := se.s.cfg.SlowConsumerGrace; grace > 0 {
-		se.conn.SetWriteDeadline(time.Now().Add(grace))
-	}
+	se.conn.SetWriteDeadline(time.Now().Add(se.s.cfg.SlowConsumerGrace))
 	switch m.Kind {
 	case wire.TagResult:
 		return w.WriteResult(m.Result)

@@ -45,6 +45,16 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("bogus algorithm accepted")
 	}
+	cfg = baseCfg()
+	cfg.SlowConsumerGrace = -time.Second
+	if _, err := New(cfg); err == nil {
+		t.Fatal("negative slow-consumer grace accepted")
+	}
+	cfg = baseCfg()
+	cfg.ReplLease = -time.Second
+	if _, err := New(cfg); err == nil {
+		t.Fatal("negative replication lease accepted")
+	}
 }
 
 func TestSingleClientRoundTrip(t *testing.T) {

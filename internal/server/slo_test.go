@@ -226,9 +226,7 @@ func TestTimelineEndpoint(t *testing.T) {
 // TestHotKeysOnIngest: a skewed stream surfaces its hot key on /statusz,
 // attributed with shares, and the skew gauges feed the timeline.
 func TestHotKeysOnIngest(t *testing.T) {
-	cfg := baseCfg()
-	cfg.HotKeysK = 8
-	srv, addr := startServer(t, cfg)
+	srv, addr := startServer(t, baseCfg())
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +253,7 @@ func TestHotKeysOnIngest(t *testing.T) {
 		t.Fatal("hot keys absent from statusz")
 	}
 	hk := st.HotKeys
-	if hk.K != 8 || len(hk.Probes.Entries) == 0 {
+	if hk.K != hotKeysK || len(hk.Probes.Entries) == 0 {
 		t.Fatalf("hot keys shape: %+v", hk)
 	}
 	if hk.Probes.Entries[0].Key != 42 {
@@ -276,19 +274,5 @@ func TestHotKeysOnIngest(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("hot-key share gauge not a timeline series: %v", srv.o.timeline.Names())
-	}
-}
-
-// TestHotKeysDisabled: a negative K turns the tracker off end to end.
-func TestHotKeysDisabled(t *testing.T) {
-	cfg := baseCfg()
-	cfg.HotKeysK = -1
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Shutdown()
-	if s.o.hotProbes != nil || s.Statusz().HotKeys != nil {
-		t.Fatal("hot keys active despite being disabled")
 	}
 }

@@ -121,7 +121,7 @@ func TestWALTornTail(t *testing.T) {
 // still sees the live horizon.
 func TestWALRotation(t *testing.T) {
 	cfg, path := walCfg(t)
-	cfg.WALSegmentBytes = 10 * wire.WALFrameBytes
+	cfg.walSegmentBytes = 10 * wire.WALFrameBytes
 	cfg.Engine.Window.Pre = 100 // tiny horizon so rotation can discard
 	cfg.Engine.Window.Lateness = 10
 

@@ -59,8 +59,8 @@ type ServerOptions struct {
 	// sheds oldest-window probes first. Zero disables.
 	MemCapProbes int64
 	// SlowConsumerGrace bounds how long one stalled client may hold up
-	// result delivery before its session is evicted (default 5s;
-	// negative disables eviction).
+	// result delivery before its session is evicted (default 5s; must not
+	// be negative).
 	SlowConsumerGrace time.Duration
 	// AdminAddr, when set, serves /metrics, /statusz and /debug/pprof
 	// there (use ":0" for an ephemeral port).
