@@ -25,6 +25,7 @@ type Core struct {
 
 	stats   *Stats
 	sink    Sink
+	batch   BatchSink
 	lat     LatencyRecorder
 	stage   StageRecorder
 	scratch []joinScratch
@@ -55,6 +56,7 @@ func NewCore(cfg Config, sink Sink) Core {
 		sink:    sink,
 		scratch: make([]joinScratch, cfg.Joiners),
 	}
+	c.batch, _ = sink.(BatchSink)
 	c.lat, _ = sink.(LatencyRecorder)
 	c.stage, _ = sink.(StageRecorder)
 	c.Alloc, _ = sink.(AllocRecorder)
@@ -80,12 +82,24 @@ func (c *Core) MaxEventTS() tuple.Time { return c.Tr.MaxEventTS() }
 func (c *Core) Stalls() StallSnapshot { return c.Tr.Stalls() }
 
 // StartJoiner launches joiner i's loop, accumulating its busy time when
-// TrackBusy is set.
+// TrackBusy is set and closing the sink's result batch at the end of each
+// ring batch unless h.NoEmit is set.
 func (c *Core) StartJoiner(i int, h JoinerHooks) {
 	if c.Cfg.TrackBusy {
 		h.Busy = &c.stats.Busy[i]
 	}
+	if c.batch != nil && !h.NoEmit {
+		h.OnBatchEnd = func() { c.batch.EndBatch(i) }
+	}
 	c.Tr.Go(i, h)
+}
+
+// EndBatch closes the result batch of joiner with a BatchSink; it is a
+// no-op for other sinks. Only the goroutine that emits as joiner calls it.
+func (c *Core) EndBatch(joiner int) {
+	if c.batch != nil {
+		c.batch.EndBatch(joiner)
+	}
 }
 
 // Drain implements Engine for engines with nothing of their own to flush:

@@ -125,6 +125,16 @@ type Sink interface {
 	Emit(joiner int, r tuple.Result)
 }
 
+// BatchSink is implemented by sinks that coalesce results: Emit may hold
+// a result until EndBatch closes the batch it belongs to, so a sink can
+// hand a whole batch on in one step. Core asserts the sink for it once and
+// calls EndBatch(joiner) on the goroutine that emits as joiner — after
+// every joiner ring batch and after OnDrained, and from SplitJoin's merger
+// after each pass — so per-joiner batches need no locking.
+type BatchSink interface {
+	EndBatch(joiner int)
+}
+
 // StageRecorder is implemented by sinks that attach per-request trace
 // spans (the serving path's sampled tracing). Core asserts the sink for
 // it once, at construction, like LatencyRecorder; SpanFor returns nil for
@@ -560,12 +570,18 @@ func (t *Transport) Finish() {
 // receives data tuples, OnWatermark in-band watermarks, and OnDrained (may
 // be nil) runs once after the ring is closed and empty — engines that need
 // cross-joiner synchronization to flush their last pending windows do it
-// there. If Busy is non-nil the loop accumulates processing time into it.
+// there. OnBatchEnd (may be nil) runs after every batch popped from the
+// ring and after OnDrained. If Busy is non-nil the loop accumulates
+// processing time into it. NoEmit marks a joiner that never emits results
+// itself (SplitJoin's, whose merger emits for them), so Core does not close
+// result batches on its goroutine.
 type JoinerHooks struct {
 	OnTuple     func(tuple.Tuple)
 	OnWatermark func(tuple.Time)
 	OnDrained   func()
+	OnBatchEnd  func()
 	Busy        *atomic.Int64
+	NoEmit      bool
 }
 
 // Go launches a joiner loop on ring i.
@@ -582,6 +598,9 @@ func (t *Transport) Go(i int, h JoinerHooks) {
 					if h.OnDrained != nil {
 						h.OnDrained()
 					}
+					if h.OnBatchEnd != nil {
+						h.OnBatchEnd()
+					}
 					return
 				}
 				ring.Wait()
@@ -597,6 +616,9 @@ func (t *Transport) Go(i int, h JoinerHooks) {
 				} else {
 					h.OnTuple(tp)
 				}
+			}
+			if h.OnBatchEnd != nil {
+				h.OnBatchEnd()
 			}
 			if h.Busy != nil {
 				h.Busy.Add(int64(time.Since(start)))

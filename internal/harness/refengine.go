@@ -53,6 +53,9 @@ func (r *refEngine) Drain() {
 	for _, res := range rs {
 		r.sink.Emit(0, res)
 	}
+	if b, ok := r.sink.(engine.BatchSink); ok {
+		b.EndBatch(0)
+	}
 	r.stats.Results.Add(int64(len(rs)))
 	r.tuples = nil
 }

@@ -192,11 +192,14 @@ type Doc struct {
 	Series      []Series `json:"series"`
 }
 
-// Resolutions lists the tier names coarse-to-fine callers may query.
+// Resolutions lists the tier names coarse-to-fine callers may query. Safe
+// without the mutex: it reads only the tier specs, which never change
+// after construction (copying a whole tier would read the head Record
+// moves).
 func (tl *Timeline) Resolutions() []string {
 	out := make([]string, len(tl.tiers))
-	for i, t := range tl.tiers {
-		out[i] = t.spec.Name()
+	for i := range tl.tiers {
+		out[i] = tl.tiers[i].spec.Name()
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -224,4 +225,25 @@ func TestWindowStats(t *testing.T) {
 	if _, _, ok := tl.WindowStats("missing", time.Second, at(529)); ok {
 		t.Fatal("unknown series reported a window")
 	}
+}
+
+// TestResolutionsWhileRecording: /statusz lists the resolutions without
+// the timeline's mutex while the sampler records; under -race the two
+// must not touch the same memory.
+func TestResolutionsWhileRecording(t *testing.T) {
+	tl := New([]string{"v"})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := int64(0); i < 2000; i++ {
+			tl.Record(at(1000+i), []float64{1})
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		if got := tl.Resolutions(); len(got) != len(defaultTiers) {
+			t.Fatalf("Resolutions = %v", got)
+		}
+	}
+	wg.Wait()
 }

@@ -3,7 +3,10 @@
 // and result mergers, and the one wait strategy (Waker) every consumer of
 // an empty ring parks on. Every engine in the repository moves tuples over
 // these rings, so transport overhead is identical across algorithms and
-// measured differences come from the join designs themselves.
+// measured differences come from the join designs themselves. MPSC, a
+// bounded many-to-one queue that moves items in runs, carries the serving
+// path's handoffs: sessions into the ingest funnel, results to a session's
+// writer.
 package queue
 
 import (

@@ -74,7 +74,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
 	"time"
 
 	"oij/internal/wire"
@@ -398,61 +397,4 @@ func HeartbeatEvery(lease time.Duration) time.Duration {
 // serving.
 func FenceAfter(lease time.Duration) time.Duration {
 	return lease * 3 / 4
-}
-
-// Lease is a renewable failure-detection deadline. The zero value is not
-// armed; NewLease arms it. Safe for concurrent use (the holder renews
-// from the stream goroutine while a watchdog checks expiry).
-type Lease struct {
-	d time.Duration
-
-	mu   sync.Mutex
-	last time.Time
-}
-
-// NewLease arms a lease of duration d starting at now. d <= 0 returns a
-// disarmed lease that never expires (auto-failover off).
-func NewLease(d time.Duration, now time.Time) *Lease {
-	l := &Lease{d: d}
-	l.last = now
-	return l
-}
-
-// Duration returns the armed lease duration (0 = disarmed).
-func (l *Lease) Duration() time.Duration { return l.d }
-
-// Renew marks liveness observed at now. Renewals never move time
-// backwards, so an out-of-order renewal cannot shorten the lease.
-func (l *Lease) Renew(now time.Time) {
-	l.mu.Lock()
-	if now.After(l.last) {
-		l.last = now
-	}
-	l.mu.Unlock()
-}
-
-// Expired reports whether the lease has run out at now. A disarmed lease
-// never expires.
-func (l *Lease) Expired(now time.Time) bool {
-	if l.d <= 0 {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return now.Sub(l.last) >= l.d
-}
-
-// Remaining returns the time left before expiry at now (0 when already
-// expired; the full duration when disarmed renewals keep it alive).
-func (l *Lease) Remaining(now time.Time) time.Duration {
-	if l.d <= 0 {
-		return l.d
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	rem := l.d - now.Sub(l.last)
-	if rem < 0 {
-		return 0
-	}
-	return rem
 }

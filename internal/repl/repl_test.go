@@ -217,43 +217,3 @@ func TestLeaseTimingAsymmetry(t *testing.T) {
 		t.Fatal("degenerate lease must floor the heartbeat cadence")
 	}
 }
-
-func TestLeaseRenewExpire(t *testing.T) {
-	t0 := time.Unix(1000, 0)
-	l := NewLease(time.Second, t0)
-	if l.Expired(t0.Add(999 * time.Millisecond)) {
-		t.Fatal("expired before the lease ran out")
-	}
-	if !l.Expired(t0.Add(time.Second)) {
-		t.Fatal("not expired at the deadline")
-	}
-	l.Renew(t0.Add(900 * time.Millisecond))
-	if l.Expired(t0.Add(1800 * time.Millisecond)) {
-		t.Fatal("renewal did not extend the lease")
-	}
-	if !l.Expired(t0.Add(1900 * time.Millisecond)) {
-		t.Fatal("lease outlived its renewal")
-	}
-	// Out-of-order renewals must not move time backwards.
-	l.Renew(t0)
-	if l.Expired(t0.Add(1899 * time.Millisecond)) {
-		t.Fatal("stale renewal shortened the lease")
-	}
-	if got := l.Remaining(t0.Add(1800 * time.Millisecond)); got != 100*time.Millisecond {
-		t.Fatalf("Remaining = %v, want 100ms", got)
-	}
-	if got := l.Remaining(t0.Add(5 * time.Second)); got != 0 {
-		t.Fatalf("Remaining after expiry = %v, want 0", got)
-	}
-}
-
-func TestLeaseDisarmed(t *testing.T) {
-	t0 := time.Unix(1000, 0)
-	l := NewLease(0, t0)
-	if l.Expired(t0.Add(24 * time.Hour)) {
-		t.Fatal("disarmed lease expired")
-	}
-	if l.Duration() != 0 {
-		t.Fatalf("Duration = %v, want 0", l.Duration())
-	}
-}

@@ -62,7 +62,7 @@ func (s *Server) controlSignals(now time.Time, epoch uint64) control.Signals {
 	}
 	sig.Unbalancedness = metrics.Unbalancedness(loads)
 
-	sig.QueueFrac = float64(len(s.ingest)) / float64(cap(s.ingest))
+	sig.QueueFrac = float64(s.funnel.Len()) / float64(s.funnel.Cap())
 	_, _, lag := s.watermarkLag()
 	sig.WatermarkLagS = float64(lag) / 1e6
 

@@ -195,7 +195,7 @@ func newServerObs(s *Server, joiners int) *serverObs {
 		return float64(n)
 	})
 	reg.NewGaugeFunc("oij_ingest_queue_depth", "Tuples buffered in the ingest funnel.", func() float64 {
-		return float64(len(s.ingest))
+		return float64(s.funnel.Len())
 	})
 	reg.NewGaugeFunc("oij_sessions_active", "Currently connected sessions.", func() float64 {
 		s.mu.Lock()
@@ -639,7 +639,7 @@ func (s *Server) Statusz() Status {
 		Requests:         s.o.bases.Load(),
 		Results:          s.o.results.Total(),
 		PendingRequests:  pending,
-		IngestQueueDepth: len(s.ingest),
+		IngestQueueDepth: s.funnel.Len(),
 		WALErrors:        s.walErrs.Load(),
 		WALRecovered:     s.walRecovered.Load(),
 		WALSkipped:       s.walSkipped.Load(),
@@ -768,9 +768,10 @@ func (k serverSink) Record(joiner int, d time.Duration) {
 	k.s.o.latency.Shard(joiner).Observe(int64(d))
 }
 
-// compile-time checks: the server sink accepts latency samples and hands
-// out trace spans to engines.
+// compile-time checks: the server sink coalesces results per joiner batch,
+// accepts latency samples and hands out trace spans to engines.
 var (
+	_ engine.BatchSink       = serverSink{}
 	_ engine.LatencyRecorder = serverSink{}
 	_ engine.StageRecorder   = serverSink{}
 	_ engine.AllocRecorder   = serverSink{}

@@ -67,10 +67,7 @@ func (r *replState) runLink() {
 		}
 	}
 	if r.promoted.Load() {
-		select {
-		case r.s.ingest <- ingestReq{promote: true}:
-		case <-r.stop:
-		}
+		r.s.funnel.PutAll([]ingestReq{{promote: true}}, r.stop)
 	}
 }
 
@@ -208,9 +205,7 @@ func (r *replState) linkOnce(conn net.Conn) {
 			}
 			frame := make([]byte, wire.WALFrameBytes)
 			copy(frame, m.Frame[:])
-			select {
-			case s.ingest <- ingestReq{replFrame: frame}:
-			case <-r.stop:
+			if s.funnel.PutAll([]ingestReq{{replFrame: frame}}, r.stop) == 0 {
 				return
 			}
 			next++

@@ -34,6 +34,7 @@ import (
 	"oij/internal/harness"
 	"oij/internal/obs"
 	"oij/internal/prof"
+	"oij/internal/queue"
 	"oij/internal/trace"
 	"oij/internal/tuple"
 	"oij/internal/wal"
@@ -47,10 +48,10 @@ type Config struct {
 	Algorithm string
 	// Engine carries window, lateness, aggregation, joiners, and mode.
 	Engine engine.Config
-	// ResultBuffer is the per-session outgoing queue depth (default
-	// 1024). A session that stops reading first backpressures itself and
-	// is then evicted after SlowConsumerGrace, so one stuck client cannot
-	// stall the shared engine.
+	// ResultBuffer is the per-session outgoing queue depth in frames
+	// (default 1024). A session that stops reading first backpressures
+	// itself and is then evicted after SlowConsumerGrace, so one stuck
+	// client cannot stall the shared engine.
 	ResultBuffer int
 	// Admission selects what happens when the ingest funnel is full:
 	// "block" (default — senders wait, the pre-overload-control
@@ -71,8 +72,8 @@ type Config struct {
 	// SlowConsumerGrace is how long a result delivery may wait on a
 	// session whose outgoing buffer is full before the session is evicted
 	// (default 5s; must not be negative). The same bound is applied as a
-	// per-frame write deadline, so a stalled TCP peer cannot wedge the
-	// writer.
+	// deadline on every socket write, so a stalled TCP peer cannot wedge
+	// the writer.
 	SlowConsumerGrace time.Duration
 	// WALPath, when set, appends every ingested probe to a write-ahead
 	// log (internal/wal, checksummed frames) and lets Recover rebuild the join
@@ -178,7 +179,7 @@ type Config struct {
 }
 
 const (
-	// ingestBuffer is the funnel channel depth.
+	// ingestBuffer is the funnel depth in queued tuples.
 	ingestBuffer = 4096
 	// stallThreshold is how long a joiner's input ring may block the
 	// engine driver before the watchdog reports the joiner as wedged on
@@ -200,12 +201,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ResultBuffer <= 0 {
 		c.ResultBuffer = 1024
-	}
-	if c.Engine.WatermarkEvery <= 0 {
-		// Serving favours promptness over amortization: watermark per
-		// tuple, so low-rate request streams finalize without waiting
-		// for a 256-tuple batch. High-rate deployments raise this.
-		c.Engine.WatermarkEvery = 1
 	}
 	if c.UtilEpoch <= 0 {
 		c.UtilEpoch = time.Second
@@ -284,7 +279,7 @@ type ingestReq struct {
 	t        wire.Tuple
 	sess     *session
 	localSeq uint64    // session-local sequence, assigned by the reader
-	enq      time.Time // when the request entered the funnel
+	enq      time.Time // when the reader handed the request's batch to the funnel
 	flush    bool
 	sp       *trace.Span // nil unless the request was sampled
 	// Replication control flow, marshalled through the funnel so the
@@ -301,8 +296,14 @@ type Server struct {
 	eng engine.Engine
 	rz  engine.Resizer // nil when the engine cannot retune its joiner count
 
-	ln     net.Listener
-	ingest chan ingestReq
+	ln net.Listener
+	// funnel carries every session's decoded frames, one batch per
+	// handoff, to the single ingest goroutine. Its capacity counts
+	// requests, so batching does not change how much it holds.
+	funnel *queue.MPSC[ingestReq]
+	// emits holds each joiner's results until the joiner's batch ends
+	// (serverSink.EndBatch), so a session gets one handoff per batch.
+	emits []emitBatch
 
 	mu       sync.Mutex
 	pending  map[uint64]pendingBase // engine (global) seq -> session route
@@ -399,7 +400,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:         cfg,
-		ingest:      make(chan ingestReq, cfg.ingestBuffer),
+		funnel:      queue.NewMPSC[ingestReq](cfg.ingestBuffer),
+		emits:       make([]emitBatch, cfg.Engine.Joiners),
 		pending:     map[uint64]pendingBase{},
 		sessions:    map[*session]struct{}{},
 		stopSampler: make(chan struct{}),
@@ -572,25 +574,62 @@ func (k serverSink) SpanFor(baseSeq uint64) *trace.Span {
 	return k.s.tracer.Lookup(baseSeq)
 }
 
-// Emit implements engine.Sink.
+// emitBatch is one joiner's results since its last batch boundary, with
+// the scratch EndBatch routes them through. Owned by the goroutine that
+// emits as that joiner; padded so neighbouring joiners do not share a
+// cache line.
+type emitBatch struct {
+	results []tuple.Result
+	routes  []pendingBase
+	frames  []outMsg
+	_       [64]byte
+}
+
+// Emit implements engine.Sink: it holds the result until the joiner's
+// batch ends.
 func (k serverSink) Emit(joiner int, r tuple.Result) {
 	k.s.o.results.Shard(joiner).Inc()
+	b := &k.s.emits[joiner]
+	b.results = append(b.results, r)
+}
+
+// EndBatch implements engine.BatchSink: it routes the batch's results to
+// their sessions with one pending-map lock, and hands each session every
+// run of consecutive results it owns as one delivery, in emit order. The
+// cost is linear in the batch, however many sessions it spans.
+func (k serverSink) EndBatch(joiner int) {
+	b := &k.s.emits[joiner]
+	if len(b.results) == 0 {
+		return
+	}
 	k.s.mu.Lock()
-	p, ok := k.s.pending[r.BaseSeq]
-	if ok {
+	for _, r := range b.results {
+		b.routes = append(b.routes, k.s.pending[r.BaseSeq]) // zero route: session gone
 		delete(k.s.pending, r.BaseSeq)
 	}
 	k.s.mu.Unlock()
-	if !ok {
-		return // session gone
+	for i := range b.routes {
+		p := &b.routes[i]
+		if p.sess == nil {
+			continue
+		}
+		r := &b.results[i]
+		b.frames = append(b.frames, outMsg{m: wire.Message{Kind: wire.TagResult, Result: wire.Result{
+			Seq:     p.localSeq,
+			TS:      r.BaseTS,
+			Key:     r.Key,
+			Agg:     r.Agg,
+			Matches: r.Matches,
+		}}, sp: p.sp})
+		if i+1 == len(b.routes) || b.routes[i+1].sess != p.sess {
+			p.sess.deliver(b.frames)
+			clear(b.frames)
+			b.frames = b.frames[:0]
+		}
 	}
-	p.sess.deliver(wire.Result{
-		Seq:     p.localSeq,
-		TS:      r.BaseTS,
-		Key:     r.Key,
-		Agg:     r.Agg,
-		Matches: r.Matches,
-	}, p.sp)
+	clear(b.routes)
+	b.routes = b.routes[:0]
+	b.results = b.results[:0]
 }
 
 // Listen starts serving on addr and returns the bound address (useful with
@@ -745,126 +784,171 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// ingestLoop is the single goroutine allowed to call Engine.Ingest. While
-// the input is idle it heartbeats the engine so watermark-mode windows
-// keep finalizing without fresh tuples (a request stream can go quiet with
-// answers still pending).
+// ingestTake is how many requests the ingest loop takes from the funnel
+// per lock acquisition and clock reading.
+const ingestTake = 256
+
+// ingestLoop is the single goroutine allowed to call Engine.Ingest. It
+// takes the funnel's requests in batches and reads the clock once per
+// batch. Whenever it has ingested tuples and emptied the funnel it
+// heartbeats the engine, so the watermark covers every ingested tuple
+// before the loop blocks; under saturation the engine's own cadence
+// applies. The ticker beats both while the input is idle, so
+// watermark-mode windows keep finalizing without fresh tuples (a request
+// stream can go quiet with answers still pending), and between batches
+// while the funnel never empties, so the WAL's interval fsync keeps its
+// cadence under sustained overload.
 func (s *Server) ingestLoop() {
 	defer s.wg.Done()
 	beat := time.NewTicker(2 * time.Millisecond)
 	defer beat.Stop()
+	run := make([]ingestReq, ingestTake)
 	for {
-		// Apply any pending live resize before the next unit of work:
-		// engines allow Resize only from the driver goroutine, and this
-		// loop is the driver. Swap-to-zero keeps only the newest target
-		// when the controller outpaces the loop.
-		if n := s.resizeReq.Swap(0); n != 0 && s.rz != nil {
-			s.rz.Resize(int(n))
-		}
-		var req ingestReq
-		var ok bool
 		select {
-		case req, ok = <-s.ingest:
-			if !ok {
+		case <-s.funnel.Ready():
+		case <-beat.C:
+			s.beat()
+			continue
+		}
+		ingested := false
+		for {
+			select {
+			case <-beat.C:
+				s.beat()
+			default:
+			}
+			s.applyResize()
+			n, left, done := s.funnel.Take(run)
+			if n > 0 {
+				now := time.Now()
+				for i := range run[:n] {
+					ingested = s.ingestOne(&run[i], now) || ingested
+				}
+				clear(run[:n])
+			}
+			if done {
 				return
 			}
-		case <-beat.C:
+			if left == 0 {
+				break
+			}
+		}
+		if ingested {
 			s.eng.Heartbeat()
-			if s.wal != nil {
-				// Durability rides the heartbeat cadence (and fsyncs
-				// here in the default "interval" sync mode).
-				if err := s.wal.Heartbeat(); err != nil {
-					s.walErrs.Add(1)
-				}
-			}
-			continue
 		}
-		if req.replFrame != nil {
-			s.applyReplFrame(req.replFrame)
-			continue
-		}
-		if req.promote {
-			s.applyPromote()
-			continue
-		}
-		if req.flush {
-			req.sess.flushBarrier()
-			continue
-		}
-		// Role gate at the funnel, not just admission: a primary fenced
-		// with requests already queued must not ack them (the promoted
-		// side's log is the history now), and a fenced node extending its
-		// own WAL with probes would fork that history.
-		if code, refused := s.replRefusal(); refused {
-			s.o.replRefused.Inc()
-			if req.sess != nil {
-				req.sess.funnelNack(req.localSeq, code)
-				s.tracer.Abandon(req.sp)
-			}
-			continue
-		}
-		t := tuple.Tuple{TS: req.t.TS, Key: req.t.Key, Val: req.t.Val}
-		if req.sess != nil {
-			if d := s.cfg.RequestDeadline; d > 0 && time.Since(req.enq) > d {
-				// The request went stale waiting in the funnel:
-				// answer with a deadline NACK instead of queueing
-				// work whose answer nobody is waiting for.
-				s.o.deadlineRejected.Inc()
-				s.flight.Record(trace.CompAdmission, trace.EvDeadlineNack,
-					req.localSeq, uint64(time.Since(req.enq)))
-				req.sess.funnelNack(req.localSeq, wire.NackDeadline)
-				s.tracer.Abandon(req.sp)
-				continue
-			}
-			t.Side = tuple.Base
-			t.Seq = s.nextGlobal
-			t.Arrival = time.Now()
-			s.nextGlobal++
-			s.mu.Lock()
-			s.pending[t.Seq] = pendingBase{sess: req.sess, localSeq: req.localSeq, sp: req.sp}
-			s.mu.Unlock()
-			req.sess.outstanding.Add(1)
-			s.o.bases.Inc()
-			s.o.hotBases.Observe(uint64(t.Key))
-			if sp := req.sp; sp != nil {
-				sp.Add(trace.StageQueueWait, time.Since(req.enq))
-				// The request's durability cost is the WAL append most
-				// recently in its path (base frames are not logged).
-				sp.Add(trace.StageWALAppend, time.Duration(s.lastWALNS.Load()))
-				sp.Seq = t.Seq
-				s.tracer.Register(sp)
-				sp.StampPushed()
-			}
-		} else {
-			t.Side = tuple.Probe
-			if s.memGuardSheds(req.t.TS) {
-				continue
-			}
-			s.o.probes.Inc()
-			s.probesIngested.Add(1)
-			s.o.hotProbes.Observe(uint64(t.Key))
-			if s.wal != nil {
-				var t0 time.Time
-				traced := s.tracer.Enabled()
-				if traced {
-					t0 = time.Now()
-				}
-				if err := s.wal.Append(req.t); err != nil {
-					// Durability degraded, availability kept:
-					// log once per incident via the error frame
-					// path is overkill here; the counter lets
-					// operators alert on it.
-					s.walErrs.Add(1)
-					s.flight.Record(trace.CompWAL, trace.EvWALError, uint64(s.walErrs.Load()), 0)
-				}
-				if traced {
-					s.lastWALNS.Store(int64(time.Since(t0)))
-				}
-			}
-		}
-		s.eng.Ingest(t)
-		s.served.Add(1)
 	}
+}
+
+// beat is the ingest loop's periodic tick: it applies a pending resize,
+// heartbeats the engine and pushes the WAL's buffered frames to the OS
+// (fsyncing them in the default "interval" sync mode).
+func (s *Server) beat() {
+	s.applyResize()
+	s.eng.Heartbeat()
+	if s.wal != nil {
+		if err := s.wal.Heartbeat(); err != nil {
+			s.walErrs.Add(1)
+		}
+	}
+}
+
+// applyResize applies a pending live resize before the next batch: engines
+// allow Resize only from the driver goroutine, and the ingest loop is the
+// driver. Swap-to-zero keeps only the newest target when the controller
+// outpaces the loop.
+func (s *Server) applyResize() {
+	if n := s.resizeReq.Swap(0); n != 0 && s.rz != nil {
+		s.rz.Resize(int(n))
+	}
+}
+
+// ingestOne applies one funnel request at the batch's clock reading now
+// and reports whether it handed the engine a tuple.
+func (s *Server) ingestOne(req *ingestReq, now time.Time) bool {
+	if req.replFrame != nil {
+		s.applyReplFrame(req.replFrame)
+		return true
+	}
+	if req.promote {
+		s.applyPromote()
+		return false
+	}
+	if req.flush {
+		req.sess.flushBarrier()
+		return false
+	}
+	// Role gate at the funnel, not just admission: a primary fenced with
+	// requests already queued must not ack them (the promoted side's log
+	// is the history now), and a fenced node extending its own WAL with
+	// probes would fork that history.
+	if code, refused := s.replRefusal(); refused {
+		s.o.replRefused.Inc()
+		if req.sess != nil {
+			req.sess.funnelNack(req.localSeq, code)
+			s.tracer.Abandon(req.sp)
+		}
+		return false
+	}
+	t := tuple.Tuple{TS: req.t.TS, Key: req.t.Key, Val: req.t.Val}
+	if req.sess != nil {
+		waited := now.Sub(req.enq)
+		if d := s.cfg.RequestDeadline; d > 0 && waited > d {
+			// The request went stale waiting in the funnel: answer
+			// with a deadline NACK instead of queueing work whose
+			// answer nobody is waiting for.
+			s.o.deadlineRejected.Inc()
+			s.flight.Record(trace.CompAdmission, trace.EvDeadlineNack, req.localSeq, uint64(waited))
+			req.sess.funnelNack(req.localSeq, wire.NackDeadline)
+			s.tracer.Abandon(req.sp)
+			return false
+		}
+		t.Side = tuple.Base
+		t.Seq = s.nextGlobal
+		t.Arrival = now
+		s.nextGlobal++
+		s.mu.Lock()
+		s.pending[t.Seq] = pendingBase{sess: req.sess, localSeq: req.localSeq, sp: req.sp}
+		s.mu.Unlock()
+		req.sess.outstanding.Add(1)
+		s.o.bases.Inc()
+		s.o.hotBases.Observe(uint64(t.Key))
+		if sp := req.sp; sp != nil {
+			sp.Add(trace.StageQueueWait, waited)
+			// The request's durability cost is the WAL append most
+			// recently in its path (base frames are not logged).
+			sp.Add(trace.StageWALAppend, time.Duration(s.lastWALNS.Load()))
+			sp.Seq = t.Seq
+			s.tracer.Register(sp)
+			sp.StampPushed()
+		}
+	} else {
+		t.Side = tuple.Probe
+		if s.memGuardSheds(req.t.TS) {
+			return false
+		}
+		s.o.probes.Inc()
+		s.probesIngested.Add(1)
+		s.o.hotProbes.Observe(uint64(t.Key))
+		if s.wal != nil {
+			var t0 time.Time
+			traced := s.tracer.Enabled()
+			if traced {
+				t0 = time.Now()
+			}
+			if err := s.wal.Append(req.t); err != nil {
+				// Durability degraded, availability kept: the counter
+				// lets operators alert on it.
+				s.walErrs.Add(1)
+				s.flight.Record(trace.CompWAL, trace.EvWALError, uint64(s.walErrs.Load()), 0)
+			}
+			if traced {
+				s.lastWALNS.Store(int64(time.Since(t0)))
+			}
+		}
+	}
+	s.eng.Ingest(t)
+	s.served.Add(1)
+	return true
 }
 
 // bufferedProbes estimates the engine's live probe state: every probe
@@ -954,7 +1038,7 @@ func (s *Server) Shutdown() {
 	if s.repl != nil {
 		s.repl.stopAll()
 	}
-	close(s.ingest)
+	s.funnel.Close()
 	close(s.stopSampler)
 	// The ingest loop keeps pushing while it drains the closed funnel, and
 	// the rings are single-producer — it must be gone before Drain's final
@@ -995,17 +1079,30 @@ type outMsg struct {
 	sp *trace.Span
 }
 
+// flushAck is the one-frame batch that acknowledges a flush barrier.
+var flushAck = []outMsg{{m: wire.Message{Kind: wire.TagFlush}}}
+
 // session is one client connection.
 type session struct {
 	s    *Server
 	conn net.Conn
-	out  chan outMsg
+	// out queues at most ResultBuffer frames for the writer goroutine.
+	// Joiners, the ingest loop and the reader each hand over a whole
+	// batch per step; the writer drains everything queued, then flushes.
+	out *queue.MPSC[outMsg]
 
-	// nextLocal is owned by the session's reader goroutine: local
-	// sequences are assigned in frame-arrival order before admission, so
-	// a NACKed request still consumes the sequence number the client
-	// assigned it and accepted requests stay aligned.
+	// nextLocal and batch are owned by the session's reader goroutine:
+	// local sequences are assigned in frame-arrival order before
+	// admission, so a NACKed request still consumes the sequence number
+	// the client assigned it and accepted requests stay aligned. batch
+	// holds the requests decoded from one socket read, reused across
+	// reads.
 	nextLocal uint64
+	batch     []ingestReq
+
+	// traced is the writer's scratch: the sampled results of the drain
+	// being written, with when each started its encode.
+	traced []tracedWrite
 
 	// outstanding counts the session's requests registered with the
 	// engine and not yet answered; flushes counts flush barriers the
@@ -1026,62 +1123,65 @@ func newSession(s *Server, conn net.Conn) *session {
 	return &session{
 		s:    s,
 		conn: conn,
-		out:  make(chan outMsg, s.cfg.ResultBuffer),
+		out:  queue.NewMPSC[outMsg](s.cfg.ResultBuffer),
 		done: make(chan struct{}),
 	}
 }
 
-// deliver queues a result for the writer goroutine. The outstanding
-// counter is decremented only after the result is queued, so a flush ack
-// can never overtake the final answer it covers.
-func (se *session) deliver(r wire.Result, sp *trace.Span) {
-	defer se.answered()
-	if !se.send(outMsg{m: wire.Message{Kind: wire.TagResult, Result: r}, sp: sp}) {
-		se.s.tracer.Abandon(sp)
+// deliver queues one batch of results for the writer goroutine. The
+// outstanding counter is decremented only after they are queued, so a
+// flush ack can never overtake the final answer it covers.
+func (se *session) deliver(frames []outMsg) {
+	n := se.send(frames)
+	for _, f := range frames[n:] {
+		se.s.tracer.Abandon(f.sp)
 	}
+	se.answered(int64(len(frames)))
 }
 
-// send queues m for the writer goroutine and reports whether it was
-// queued. A session whose buffer is full gets SlowConsumerGrace to drain;
-// if it is still full after the grace the session is evicted and m
-// dropped, so one stuck client stalls its sender for at most one grace
-// period instead of wedging the engine or the funnel behind it.
-func (se *session) send(m outMsg) bool {
-	select {
-	case se.out <- m:
-		return true
-	case <-se.done:
-		return false
-	default:
+// send queues frames for the writer goroutine, in order, and returns how
+// many it queued. A session whose buffer is full gets SlowConsumerGrace to
+// make room; if it is still full after the grace the session is evicted
+// and the rest dropped, so one stuck client stalls its sender for at most
+// one grace period instead of wedging the engine or the funnel behind it.
+func (se *session) send(frames []outMsg) int {
+	n, space := se.out.Put(frames)
+	if n == len(frames) {
+		return n
 	}
 	timer := time.NewTimer(se.s.cfg.SlowConsumerGrace)
 	se.s.o.countAlloc(trace.StageEmit, 1, timerAllocBytes)
 	defer timer.Stop()
-	select {
-	case se.out <- m:
-		return true
-	case <-se.done:
-	case <-timer.C:
-		se.evictSlow()
+	for n < len(frames) {
+		select {
+		case <-space:
+		case <-se.done:
+			return n
+		case <-timer.C:
+			se.evictSlow()
+			return n
+		}
+		m, more := se.out.Put(frames[n:])
+		n, space = n+m, more
 	}
-	return false
+	return n
 }
 
-// answered retires one outstanding request after its answer was queued
+// answered retires n outstanding requests after their answers were queued
 // (or dropped with the session). The decrement that reaches zero queues
 // the acks of every flush barrier waiting on it.
-func (se *session) answered() {
-	if se.outstanding.Add(-1) != 0 {
+func (se *session) answered(n int64) {
+	if se.outstanding.Add(-n) != 0 {
 		return
 	}
 	se.flushMu.Lock()
-	n := 0
+	acks := 0
 	if se.outstanding.Load() == 0 {
-		n, se.flushes = se.flushes, 0
+		acks, se.flushes = se.flushes, 0
 	}
 	se.flushMu.Unlock()
-	for ; n > 0; n-- {
-		se.send(outMsg{m: wire.Message{Kind: wire.TagFlush}})
+	for ; acks > 0; acks-- {
+		se.send(flushAck)
 	}
 }
 
@@ -1097,14 +1197,15 @@ func (se *session) flushBarrier() {
 	}
 	se.flushMu.Unlock()
 	if due {
-		se.send(outMsg{m: wire.Message{Kind: wire.TagFlush}})
+		se.send(flushAck)
 	}
 }
 
 // evictSlow force-closes a session that stopped draining: done stops new
 // work and the connection close unblocks both its reader and a writer stuck
 // in a send. Two detectors share it — the deliver grace timer and the
-// writer's per-frame deadline — so the CAS makes each session count once.
+// writer's socket write deadline — so the CAS makes each session count
+// once.
 func (se *session) evictSlow() {
 	if se.evicted.CompareAndSwap(false, true) {
 		se.s.o.slowEvicted.Inc()
@@ -1117,10 +1218,13 @@ func (se *session) evictSlow() {
 	se.conn.Close()
 }
 
-// run services the connection until EOF or error. Teardown order matters:
-// the done channel stops new work, the writer drains whatever is already
-// queued (results, flush acks, protocol errors) to the still-open
-// connection, and only then does the connection close.
+// run services the connection until EOF or error. Each pass decodes every
+// frame one socket read buffered and hands them to the funnel as one
+// batch: with at least wire.MaxClientFrame bytes buffered the next frame
+// is complete, so decoding stops exactly before a read that could block.
+// Teardown order matters: the done channel stops new work, the writer
+// drains whatever is already queued (results, flush acks, protocol errors)
+// to the still-open connection, and only then does the connection close.
 func (se *session) run() {
 	writerDone := make(chan struct{})
 	go se.writeLoop(writerDone)
@@ -1133,107 +1237,143 @@ func (se *session) run() {
 	r := wire.NewReader(se.conn)
 	for {
 		m, err := r.Read()
+		// Standby and fenced nodes take no writes: the replicated log is
+		// the only ingest path. The role is read once per batch.
+		refusal, _ := se.s.replRefusal()
+		for err == nil {
+			if !se.decode(m, refusal) {
+				se.admit()
+				se.sendError("unexpected frame from client")
+				return
+			}
+			if r.Buffered() < wire.MaxClientFrame {
+				break
+			}
+			m, err = r.Read()
+		}
+		se.admit()
 		if err != nil {
 			return // EOF and deadline errors are normal teardown paths
 		}
-		switch m.Kind {
-		case wire.TagProbe:
-			se.admitProbe(m.Tuple)
-		case wire.TagBase:
-			localSeq := se.nextLocal
-			se.nextLocal++
-			se.admitBase(m.Tuple, localSeq)
-		case wire.TagBaseID:
-			// The client chose the request id; the session-local counter
-			// tracks past it so plain base frames interleaved on the same
-			// session never collide with an explicit id.
-			localSeq := m.Tuple.ID
-			if localSeq >= se.nextLocal {
-				se.nextLocal = localSeq + 1
-			}
-			se.admitBase(m.Tuple, localSeq)
-		case wire.TagFlush:
-			se.s.ingest <- ingestReq{sess: se, flush: true}
-		default:
-			se.sendError(errors.New("unexpected frame from client").Error())
-			return
+	}
+}
+
+// decode appends one client frame to the reader's batch and reports false
+// for a frame kind clients may not send. refusal is the replication NACK
+// code while this node takes no writes (0 otherwise): its probes are
+// dropped, since a locally accepted probe would fork the replicated log,
+// and its requests get that typed NACK, so a failover-aware client rotates
+// to the next address instead of timing out.
+func (se *session) decode(m wire.Message, refusal byte) bool {
+	var localSeq uint64
+	switch m.Kind {
+	case wire.TagProbe:
+		if refusal != 0 {
+			se.s.o.replRefused.Inc()
+			return true
 		}
-	}
-}
-
-// admitProbe applies the admission policy to one probe tuple. Under
-// "shed-probes" and "reject" a full funnel drops the probe (counted)
-// instead of blocking the reader; under "block" the reader waits, which
-// backpressures this client's TCP stream. The policy is read from the
-// live atomic, so the controller's ladder steps take effect on the very
-// next frame.
-func (se *session) admitProbe(t wire.Tuple) {
-	if _, refused := se.s.replRefusal(); refused {
-		// Standby and fenced nodes take no writes: the replicated log is
-		// the only ingest path, so a locally accepted probe would fork it.
-		se.s.o.replRefused.Inc()
-		return
-	}
-	req := ingestReq{t: t}
-	if se.s.admission.Load() == control.AdmissionBlock {
-		se.s.ingest <- req
-		return
-	}
-	select {
-	case se.s.ingest <- req:
+		se.batch = append(se.batch, ingestReq{t: m.Tuple})
+		return true
+	case wire.TagFlush:
+		se.batch = append(se.batch, ingestReq{sess: se, flush: true})
+		return true
+	case wire.TagBase:
+		localSeq = se.nextLocal
+		se.nextLocal++
+	case wire.TagBaseID:
+		// The client chose the request id; the session-local counter
+		// tracks past it so plain base frames interleaved on the same
+		// session never collide with an explicit id.
+		localSeq = m.Tuple.ID
+		if localSeq >= se.nextLocal {
+			se.nextLocal = localSeq + 1
+		}
 	default:
-		se.s.o.shedProbes.Inc()
-		se.s.flight.Record(trace.CompAdmission, trace.EvAdmissionShed,
-			uint64(se.s.o.shedProbes.Load()), 0)
+		return false
 	}
-}
-
-// admitBase applies the admission policy to one base request. Only the
-// "reject" policy refuses requests: a full funnel answers with an overload
-// NACK so the client can fail fast and back off; "block" and "shed-probes"
-// let the request wait (requests are the product, probes are the fuel).
-func (se *session) admitBase(t wire.Tuple, localSeq uint64) {
-	if code, refused := se.s.replRefusal(); refused {
-		// Typed refusal (not-primary or fenced) so a failover-aware client
-		// rotates to the next address instead of timing out.
+	if refusal != 0 {
 		se.s.o.replRefused.Inc()
-		se.sendNack(localSeq, code)
-		return
+		se.sendNack(localSeq, refusal)
+		return true
 	}
-	req := ingestReq{t: t, sess: se, localSeq: localSeq, enq: time.Now()}
-	var t0 time.Time
+	req := ingestReq{t: m.Tuple, sess: se, localSeq: localSeq}
 	if se.s.tracer.Sample() {
 		// Tagged at admission: the span rides the request through every
-		// stage from here. The ingest stage is this goroutine's own work
-		// — admission plus the funnel enqueue.
-		req.sp = trace.NewSpan(localSeq, uint64(t.Key), int64(t.TS))
+		// stage from here, and enq holds the admission time until the
+		// handoff closes the ingest stage.
+		req.sp = trace.NewSpan(localSeq, uint64(m.Tuple.Key), int64(m.Tuple.TS))
 		se.s.o.countAlloc(trace.StageIngest, 1, spanAllocBytes)
-		t0 = time.Now()
+		req.enq = time.Now()
 	}
-	if se.s.admission.Load() != control.AdmissionReject {
-		se.s.ingest <- req
-		req.sp.Add(trace.StageIngest, time.Since(t0))
+	se.batch = append(se.batch, req)
+	return true
+}
+
+// admit hands the reader's batch to the funnel in one step, stamped with
+// one clock reading: a sampled request's ingest stage ends there and its
+// queue_wait begins. The admission policy applies only to what a full
+// funnel did not take (see overflow).
+func (se *session) admit() {
+	b := se.batch
+	if len(b) == 0 {
 		return
 	}
-	select {
-	case se.s.ingest <- req:
-		req.sp.Add(trace.StageIngest, time.Since(t0))
-	default:
-		se.s.o.rejected.Inc()
-		se.s.flight.Record(trace.CompAdmission, trace.EvAdmissionReject,
-			uint64(se.s.o.rejected.Load()), 0)
-		se.sendNack(localSeq, wire.NackOverload)
-		se.s.tracer.Abandon(req.sp)
+	now := time.Now()
+	for i := range b {
+		if sp := b[i].sp; sp != nil {
+			sp.Add(trace.StageIngest, now.Sub(b[i].enq))
+		}
+		b[i].enq = now
+	}
+	if n, _ := se.s.funnel.Put(b); n < len(b) {
+		se.overflow(b[n:])
+	}
+	clear(b)
+	se.batch = b[:0]
+}
+
+// overflow applies the admission policy, in order, to the requests a full
+// funnel did not take. Under "block" the reader waits, which backpressures
+// this client's TCP stream. Under "shed-probes" and "reject" each probe
+// that does not fit is dropped and counted; under "reject" each request
+// that does not fit is answered with an overload NACK so the client can
+// fail fast, while under "shed-probes" requests wait (requests are the
+// product, probes are the fuel). Flush barriers always wait. The policy
+// is read from the live atomic, so the controller's ladder steps take
+// effect on the very next batch.
+func (se *session) overflow(rest []ingestReq) {
+	s := se.s
+	policy := s.admission.Load()
+	if policy == control.AdmissionBlock {
+		s.funnel.PutAll(rest, nil)
+		return
+	}
+	for i := range rest {
+		one := rest[i : i+1]
+		if n, _ := s.funnel.Put(one); n == 1 {
+			continue
+		}
+		switch req := &rest[i]; {
+		case req.sess == nil:
+			s.o.shedProbes.Inc()
+			s.flight.Record(trace.CompAdmission, trace.EvAdmissionShed,
+				uint64(s.o.shedProbes.Load()), 0)
+		case policy == control.AdmissionReject && !req.flush:
+			s.o.rejected.Inc()
+			s.flight.Record(trace.CompAdmission, trace.EvAdmissionReject,
+				uint64(s.o.rejected.Load()), 0)
+			se.sendNack(req.localSeq, wire.NackOverload)
+			s.tracer.Abandon(req.sp)
+		default:
+			s.funnel.PutAll(one, nil)
+		}
 	}
 }
 
 // sendNack queues a NACK from the session's own reader goroutine; a full
 // outgoing buffer backpressures the reader like any other frame.
 func (se *session) sendNack(seq uint64, code byte) {
-	select {
-	case se.out <- outMsg{m: wire.Message{Kind: wire.TagNack, Nack: wire.Nack{Seq: seq, Code: code}}}:
-	case <-se.done:
-	}
+	se.out.PutAll([]outMsg{{m: wire.Message{Kind: wire.TagNack, Nack: wire.Nack{Seq: seq, Code: code}}}}, se.done)
 }
 
 // funnelNack queues a NACK from the ingest goroutine. Like a result or a
@@ -1242,23 +1382,33 @@ func (se *session) sendNack(seq uint64, code byte) {
 // a wedged one costs the funnel one grace period before it is evicted. A
 // NACK that was not queued is counted.
 func (se *session) funnelNack(seq uint64, code byte) {
-	if !se.send(outMsg{m: wire.Message{Kind: wire.TagNack, Nack: wire.Nack{Seq: seq, Code: code}}}) {
+	if se.send([]outMsg{{m: wire.Message{Kind: wire.TagNack, Nack: wire.Nack{Seq: seq, Code: code}}}}) == 0 {
 		se.s.o.nacksDropped.Inc()
 	}
 }
 
 func (se *session) sendError(msg string) {
-	select {
-	case se.out <- outMsg{m: wire.Message{Kind: wire.TagError, Err: msg}}:
-	case <-se.done:
-	}
+	se.out.PutAll([]outMsg{{m: wire.Message{Kind: wire.TagError, Err: msg}}}, se.done)
 }
 
-// writeMsg encodes one outgoing frame, bounding the time a stalled TCP
-// peer can hold the writer: every frame gets the slow-consumer grace to
-// make progress before the write fails.
-func (se *session) writeMsg(w *wire.Writer, m wire.Message) error {
-	se.conn.SetWriteDeadline(time.Now().Add(se.s.cfg.SlowConsumerGrace))
+// graceWriter arms the slow-consumer grace as the connection's write
+// deadline before every socket write. The session writer's buffer turns a
+// drained run into one socket write (plus one per further buffer-full), so
+// the deadline is armed about once per drain rather than once per frame,
+// and every write still gets the whole grace: a stalled TCP peer cannot
+// hold the writer longer than that.
+type graceWriter struct {
+	conn  net.Conn
+	grace time.Duration
+}
+
+func (g graceWriter) Write(p []byte) (int, error) {
+	g.conn.SetWriteDeadline(time.Now().Add(g.grace))
+	return g.conn.Write(p)
+}
+
+// writeFrame encodes one outgoing frame into the writer's buffer.
+func writeFrame(w *wire.Writer, m wire.Message) error {
 	switch m.Kind {
 	case wire.TagResult:
 		return w.WriteResult(m.Result)
@@ -1272,66 +1422,85 @@ func (se *session) writeMsg(w *wire.Writer, m wire.Message) error {
 	return nil
 }
 
-// writeLoop serializes outgoing frames, flushing when the queue drains. A
-// write error force-closes the session so its reader does not linger on a
+// writeTake is how many frames the session writer takes from its queue
+// per lock acquisition.
+const writeTake = 128
+
+// tracedWrite is a sampled result the writer encoded, with when its
+// encode started.
+type tracedWrite struct {
+	sp    *trace.Span
+	start time.Time
+}
+
+// drain encodes every queued frame and flushes once. A sampled result's
+// last two stages are stamped around it: emit (join end → this pickup)
+// before its encode, tcp_write (its encode → the drain's flush) after;
+// then the span is complete and retires to the /tracez ring. Spans whose
+// frames did not reach the wire are abandoned.
+func (se *session) drain(w *wire.Writer, run []outMsg) error {
+	var err error
+	for err == nil {
+		n, left, _ := se.out.Take(run)
+		for i := range run[:n] {
+			om := &run[i]
+			if err != nil {
+				se.s.tracer.Abandon(om.sp)
+				continue
+			}
+			if om.sp != nil {
+				om.sp.StampWriterPickup()
+				se.traced = append(se.traced, tracedWrite{om.sp, time.Now()})
+			}
+			err = writeFrame(w, om.m)
+		}
+		clear(run[:n])
+		if left == 0 {
+			break
+		}
+	}
+	if err == nil {
+		err = w.Flush()
+	}
+	for _, tw := range se.traced {
+		if err != nil {
+			se.s.tracer.Abandon(tw.sp)
+			continue
+		}
+		tw.sp.Add(trace.StageTCPWrite, time.Since(tw.start))
+		se.s.tracer.Complete(tw.sp)
+	}
+	clear(se.traced)
+	se.traced = se.traced[:0]
+	return err
+}
+
+// writeLoop drains the outgoing queue each time it is woken. A write
+// error force-closes the session so its reader does not linger on a
 // half-dead connection; a deadline-expired write means the peer stopped
 // draining its TCP stream and counts as a slow-consumer eviction.
 func (se *session) writeLoop(done chan struct{}) {
 	defer close(done)
-	fail := func(err error) {
-		if errors.Is(err, os.ErrDeadlineExceeded) {
-			se.evictSlow()
-			return
-		}
-		se.close()
-		se.conn.Close()
-	}
-	w := wire.NewWriter(se.conn)
+	w := wire.NewWriter(graceWriter{conn: se.conn, grace: se.s.cfg.SlowConsumerGrace})
 	se.s.o.countAlloc(trace.StageTCPWrite, 1, wireWriterAllocBytes)
-	// write encodes one frame, stamping a sampled result's last two stages
-	// around it: emit (join end → this pickup) before, tcp_write after,
-	// then the span is complete and retires to the /tracez ring.
-	write := func(om outMsg) error {
-		om.sp.StampWriterPickup()
-		var t0 time.Time
-		if om.sp != nil {
-			t0 = time.Now()
-		}
-		err := se.writeMsg(w, om.m)
-		if err == nil && len(se.out) == 0 {
-			err = w.Flush()
-		}
-		if om.sp != nil {
-			om.sp.Add(trace.StageTCPWrite, time.Since(t0))
-			if err == nil {
-				se.s.tracer.Complete(om.sp)
-			} else {
-				se.s.tracer.Abandon(om.sp)
-			}
-		}
-		return err
-	}
+	run := make([]outMsg, writeTake)
 	for {
 		select {
-		case om := <-se.out:
-			if err := write(om); err != nil {
-				fail(err)
+		case <-se.out.Ready():
+			if err := se.drain(w, run); err != nil {
+				if errors.Is(err, os.ErrDeadlineExceeded) {
+					se.evictSlow()
+					return
+				}
+				se.close()
+				se.conn.Close()
 				return
 			}
 		case <-se.done:
-			// Drain anything already queued (results, flush acks,
+			// Write out anything already queued (results, flush acks,
 			// protocol errors), then stop.
-			for {
-				select {
-				case om := <-se.out:
-					if err := write(om); err != nil {
-						return
-					}
-				default:
-					w.Flush()
-					return
-				}
-			}
+			se.drain(w, run)
+			return
 		}
 	}
 }

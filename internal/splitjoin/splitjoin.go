@@ -68,7 +68,7 @@ func (e *Engine) Name() string { return "splitjoin" }
 // Start implements engine.Engine.
 func (e *Engine) Start() {
 	for i, j := range e.js {
-		e.StartJoiner(i, engine.JoinerHooks{OnTuple: j.onTuple, OnWatermark: j.onWatermark})
+		e.StartJoiner(i, engine.JoinerHooks{OnTuple: j.onTuple, OnWatermark: j.onWatermark, NoEmit: true})
 	}
 	e.mergerWG.Add(1)
 	go e.mergeLoop()
@@ -132,6 +132,9 @@ func (e *Engine) mergeLoop() {
 			}
 		}
 		if progress {
+			// The merger emits as joiner 0, so it owns that joiner's
+			// result batch: close it after each pass over the rings.
+			e.EndBatch(0)
 			continue
 		}
 		if e.partialsDrained() {

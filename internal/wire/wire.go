@@ -68,6 +68,11 @@ const (
 // MaxErrorLen bounds error-frame messages.
 const MaxErrorLen = 1024
 
+// MaxClientFrame is the length of the longest frame a client sends (baseid),
+// so a Reader holding at least this many Buffered bytes decodes its next
+// client frame without blocking.
+const MaxClientFrame = 33
+
 // Tuple is a decoded probe or base frame.
 type Tuple struct {
 	Base bool
@@ -218,6 +223,10 @@ type Reader struct {
 func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReader(r)}
 }
+
+// Buffered returns the number of bytes received and not yet decoded; a
+// Read of a frame no longer than that does not block on the stream.
+func (r *Reader) Buffered() int { return r.r.Buffered() }
 
 // Read decodes the next frame. It returns io.EOF at a clean end of stream
 // and io.ErrUnexpectedEOF on a truncated frame.

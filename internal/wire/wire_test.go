@@ -199,3 +199,39 @@ func TestQuickRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBufferedCoversClientFrames: MaxClientFrame is the longest client
+// frame, so while Buffered reports at least that many bytes a Read never
+// needs the stream; the server's batching reader relies on it.
+func TestBufferedCoversClientFrames(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.WriteBaseID(Tuple{Base: true, TS: 1, ID: 9})
+	w.Flush()
+	if buf.Len() != MaxClientFrame {
+		t.Fatalf("baseid frame is %d bytes, MaxClientFrame %d", buf.Len(), MaxClientFrame)
+	}
+	w.WriteTuple(Tuple{TS: 2})
+	w.WriteTuple(Tuple{Base: true, TS: 3})
+	w.WriteFlush()
+	w.Flush()
+	total := buf.Len()
+	r := NewReader(&buf)
+	if _, err := r.Read(); err != nil {
+		t.Fatal(err)
+	}
+	// The first Read buffered the whole stream; each later frame is
+	// decoded from the buffer alone.
+	if got := r.Buffered(); got != total-MaxClientFrame {
+		t.Fatalf("Buffered = %d, want %d", got, total-MaxClientFrame)
+	}
+	for _, n := range []int{25, 25, 1} {
+		before := r.Buffered()
+		if _, err := r.Read(); err != nil {
+			t.Fatal(err)
+		}
+		if used := before - r.Buffered(); used != n || used > MaxClientFrame {
+			t.Fatalf("frame used %d buffered bytes, want %d (at most MaxClientFrame)", used, n)
+		}
+	}
+}
