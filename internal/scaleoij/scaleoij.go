@@ -7,7 +7,9 @@
 //     (package sched), so few or skewed keys no longer pin work to single
 //     joiners; and
 //  3. incremental window aggregation (Subtract-on-Evict adapted to interval
-//     joins), so overlapping windows share aggregation work.
+//     joins), so overlapping windows share aggregation work; a window that
+//     slides forward walks level-0 cursors kept at its edges instead of
+//     seeking them.
 //
 // Each technique toggles independently through Options, which is how the
 // ablation experiments (Figs. 11, 13, 16) isolate their contributions. The
@@ -273,7 +275,13 @@ type incEntry struct {
 	lo, hi tuple.Time
 	mask   uint64
 	st     agg.State
-	slide  *agg.Sliding
+	// edges holds, for the invertible path, one edge per member of mask in
+	// ascending member order, so a window that slides forward walks its
+	// edges instead of seeking them (see walkEdges). Empty when a member
+	// had no series for the key; the cursors are zero after a sweep
+	// dropped them.
+	edges []edge
+	slide *agg.Sliding
 	// late buffers interior inserts the two-stacks window cannot absorb
 	// (a FIFO structure only grows at the tail); they are folded into
 	// the aggregate at query time and pruned as the window slides past
@@ -283,6 +291,15 @@ type incEntry struct {
 
 // lateCap bounds the per-entry late buffer before a rebuild is cheaper.
 const lateCap = 64
+
+// edge is one team member's part of an incEntry: the member's time layer
+// for the key, resolved once, and level-0 cursors at the cached window's
+// edges — left at the last entry with ts < lo, right at the last entry
+// with ts <= hi.
+type edge struct {
+	s           *timetravel.Series
+	left, right timetravel.Cursor
+}
 
 // joiner is one Scale-OIJ worker.
 type joiner struct {
@@ -295,6 +312,12 @@ type joiner struct {
 	lastSweep tuple.Time
 	inc       map[tuple.Key]*incEntry
 	pairs     []tsval
+
+	// walks counts bases whose window slid by walking the edge cursors,
+	// evictFalls walks refused because a cursor's entry may have been
+	// evicted, and folds stragglers folded into a cached window.
+	// Joiner-private; tests read them after Drain.
+	walks, evictFalls, folds int
 }
 
 // tsval is a scratch (timestamp, value) pair for merged team scans.
@@ -317,24 +340,27 @@ func newJoiner(e *Engine, id int) *joiner {
 func (j *joiner) onTuple(t tuple.Tuple) {
 	j.e.Stats().Processed[j.id].Add(1)
 	if t.Side == tuple.Probe {
-		j.ix.Put(t)
-		if j.e.Alloc != nil {
-			// Every Put allocates one time-travel index node.
-			j.e.Alloc.CountAlloc(trace.StageIngest, 1, engine.TupleAllocBytes)
+		if b := j.ix.Put(t); b > 0 && j.e.Alloc != nil {
+			j.e.Alloc.CountAlloc(trace.StageIngest, 1, b)
 		}
 		if j.e.opt.Incremental && j.e.Cfg.Mode == engine.OnArrival {
 			// A late probe landing inside this joiner's cached window
 			// would be missed by the edge-delta scans, so fold it into
 			// the cached aggregate directly — the entry then stays
-			// exact without rescanning. Probes above the cached hi are
-			// picked up by the next delta-add (not folded here, which
-			// would double-count); probes a *teammate* inserts into an
-			// interior another joiner cached remain the documented
+			// exact without rescanning. The probe lands after the
+			// entry's left cursor (ts >= lo) and inside the range a
+			// right walk skips (ts <= hi), so a later left walk
+			// subtracts it once and no right walk adds it. Probes
+			// above the cached hi are picked up by the next delta-add
+			// (not folded here, which would double-count); probes a
+			// *teammate* inserts into an interior another joiner
+			// cached remain the documented
 			// arrival-mode approximation, bounded by the lateness.
 			// (OnWatermark mode needs none of this: finalized windows
 			// lie wholly below the watermark, which late probes
 			// cannot.)
 			if e := j.inc[t.Key]; e != nil && e.mask != 0 && t.TS >= e.lo && t.TS <= e.hi {
+				j.folds++
 				switch {
 				case e.slide == nil:
 					e.st.Add(t.Val)
@@ -468,6 +494,16 @@ func (j *joiner) maybeSweep(wm tuple.Time) {
 			// amortized, so the shared atomic sees one add per sweep.
 			j.e.Stats().Evicted.Add(n)
 		}
+		// An entry whose window fell below the bound cannot walk again
+		// (joinIncremental rebuilds it), and its cursors would keep
+		// evicted node slabs reachable while its key stays quiet.
+		for _, e := range j.inc {
+			if e.lo < bound {
+				for i := range e.edges {
+					e.edges[i].left, e.edges[i].right = timetravel.Cursor{}, timetravel.Cursor{}
+				}
+			}
+		}
 	}
 }
 
@@ -539,59 +575,163 @@ func (j *joiner) joinFull(k tuple.Key, mask uint64, lo, hi tuple.Time, sp *trace
 }
 
 // joinIncremental slides the key's cached window aggregate to the new
-// bounds, adding and subtracting only the edge deltas; it falls back to a
-// full scan when there is no usable cache (first window of a key, no
-// overlap, team change, or the cached left edge has been evicted past).
+// bounds, adding and subtracting only the edge deltas. A window that moved
+// forward walks the edges from the entry's cursors without a seek; one
+// that moved backward, or whose cursors are unusable, seeks the edges; and
+// it falls back to a full scan when there is no usable cache (first window
+// of a key, no overlap, team change, or the cached left edge has been
+// evicted past).
 func (j *joiner) joinIncremental(base tuple.Tuple, mask uint64, lo, hi tuple.Time) agg.State {
 	entry := j.inc[base.Key]
-	usable := entry != nil &&
-		entry.mask == mask &&
-		lo <= entry.hi && hi >= entry.lo && // windows overlap
-		entry.lo >= j.evictBound(j.evictWM()) // subtraction range still physically readable
-
-	if !usable {
-		st := j.joinFull(base.Key, mask, lo, hi, nil)
-		if entry == nil {
-			entry = &incEntry{}
-			j.inc[base.Key] = entry
-		}
-		entry.lo, entry.hi, entry.mask, entry.st = lo, hi, mask, st
-		return st
+	if entry == nil {
+		entry = &incEntry{}
+		j.inc[base.Key] = entry
 	}
+	bound := j.evictBound(j.evictWM())
+	// A fresh entry's zero mask never equals a read mask: every key has
+	// at least one team member.
+	sameTeam := entry.mask == mask
+	usable := sameTeam &&
+		lo <= entry.hi && hi >= entry.lo && // windows overlap
+		entry.lo >= bound // subtraction range still physically readable
 
+	walked := usable && lo >= entry.lo && hi >= entry.hi && j.walkEdges(entry, lo, hi, bound)
+	switch {
+	case walked:
+		j.walks++
+	case usable:
+		j.seekDeltas(entry, base.Key, mask, lo, hi)
+	default:
+		entry.st = j.joinFull(base.Key, mask, lo, hi, nil)
+		entry.mask = mask
+	}
+	if usable && j.e.Cfg.Instrument {
+		// Incremental scans only touch in-window edges; effectiveness
+		// stays 1 by construction, so record the join as fully
+		// effective.
+		j.e.Stats().Effect[j.id].Observe(1, 1)
+	}
+	entry.lo, entry.hi = lo, hi
+	if !walked {
+		j.seekEdges(entry, base.Key, sameTeam)
+	}
+	return entry.st
+}
+
+// walkEdges slides entry's aggregate forward to an overlapping [lo, hi]
+// (lo >= entry.lo, hi >= entry.hi) by walking every member's cursors:
+// the left walk skips ts < entry.lo and removes [entry.lo, lo), the right
+// walk skips ts <= entry.hi and adds (entry.hi, hi]. Every entry of either
+// range lies after its cursor — the index keeps keys sorted, and the
+// cursor's own key is below the range — including stragglers inserted
+// since the cursor was set, so each entry is counted exactly as the
+// seek-based deltas would count it.
+//
+// It returns false without touching the entry when it holds no cursors,
+// or when a left cursor's key is below bound, the eviction bound of the
+// current gate: every sweep so far used a bound no higher, so a cursor at
+// or above it has not been unlinked. (A right cursor is never below its
+// left one.)
+func (j *joiner) walkEdges(entry *incEntry, lo, hi, bound tuple.Time) bool {
+	if len(entry.edges) == 0 {
+		return false
+	}
+	for i := range entry.edges {
+		c := entry.edges[i].left
+		if !c.Valid() {
+			return false
+		}
+		if !c.AtHead() && c.Key() < bound {
+			j.evictFalls++
+			return false
+		}
+	}
+	// Left edges of every member, then right edges, in the order the
+	// seek-based deltas fold them.
+	st := &entry.st
+	for i := range entry.edges {
+		c := entry.edges[i].left
+		for {
+			n, ok := c.Next()
+			if !ok || n.Key() >= lo {
+				break
+			}
+			if n.Key() >= entry.lo {
+				st.Remove(n.Value())
+			}
+			c = n
+		}
+		entry.edges[i].left = c
+	}
+	for i := range entry.edges {
+		c := entry.edges[i].right
+		for {
+			n, ok := c.Next()
+			if !ok || n.Key() > hi {
+				break
+			}
+			if n.Key() > entry.hi {
+				st.Add(n.Value())
+			}
+			c = n
+		}
+		entry.edges[i].right = c
+	}
+	return true
+}
+
+// seekEdges seeks fresh cursors at the entry's window edges in every
+// member's series. It resolves the series only when the team changed or
+// one was missing; a member still without one leaves the entry with no
+// edges, so the next base seeks again.
+func (j *joiner) seekEdges(entry *incEntry, key tuple.Key, sameTeam bool) {
+	if !sameTeam || len(entry.edges) == 0 {
+		clear(entry.edges)
+		entry.edges = entry.edges[:0]
+		for m := entry.mask; m != 0; m &= m - 1 {
+			s := j.e.js[bits.TrailingZeros64(m)].ix.Series(key)
+			if s == nil {
+				clear(entry.edges)
+				entry.edges = entry.edges[:0]
+				return
+			}
+			entry.edges = append(entry.edges, edge{s: s})
+		}
+	}
+	for i := range entry.edges {
+		e := &entry.edges[i]
+		e.left, e.right = e.s.Before(entry.lo), e.s.Through(entry.hi)
+	}
+}
+
+// seekDeltas slides entry's aggregate to [lo, hi] by seeking and scanning
+// the non-overlapping edges in every member's index.
+func (j *joiner) seekDeltas(entry *incEntry, key tuple.Key, mask uint64, lo, hi tuple.Time) {
 	st := &entry.st
 	// Left edge.
 	if lo > entry.lo {
-		j.scanTeam(mask, base.Key, entry.lo, lo-1, func(_ tuple.Time, val float64) bool {
+		j.scanTeam(mask, key, entry.lo, lo-1, func(_ tuple.Time, val float64) bool {
 			st.Remove(val)
 			return true
 		})
 	} else if lo < entry.lo {
-		j.scanTeam(mask, base.Key, lo, entry.lo-1, func(_ tuple.Time, val float64) bool {
+		j.scanTeam(mask, key, lo, entry.lo-1, func(_ tuple.Time, val float64) bool {
 			st.Add(val)
 			return true
 		})
 	}
 	// Right edge.
 	if hi > entry.hi {
-		j.scanTeam(mask, base.Key, entry.hi+1, hi, func(_ tuple.Time, val float64) bool {
+		j.scanTeam(mask, key, entry.hi+1, hi, func(_ tuple.Time, val float64) bool {
 			st.Add(val)
 			return true
 		})
 	} else if hi < entry.hi {
-		j.scanTeam(mask, base.Key, hi+1, entry.hi, func(_ tuple.Time, val float64) bool {
+		j.scanTeam(mask, key, hi+1, entry.hi, func(_ tuple.Time, val float64) bool {
 			st.Remove(val)
 			return true
 		})
 	}
-	entry.lo, entry.hi = lo, hi
-	if j.e.Cfg.Instrument {
-		// Incremental scans only touch in-window edges; effectiveness
-		// stays 1 by construction, so record the join as fully
-		// effective.
-		j.e.Stats().Effect[j.id].Observe(1, 1)
-	}
-	return entry.st
 }
 
 // joinSliding is the incremental path for non-invertible operators: a

@@ -22,10 +22,15 @@
 // Duplicate keys are allowed and kept adjacent in insertion order, which
 // the time layer of the time-travel index relies on (several tuples may
 // carry the same event timestamp).
+//
+// A Cursor is a reader's saved level-0 position: a reader whose range only
+// moves forward (an incremental window edge) walks on from it one pointer
+// load per entry instead of seeking from the head again.
 package skiplist
 
 import (
 	"sync/atomic"
+	"unsafe"
 )
 
 // MaxHeight bounds the tower height of any node. 12 levels with the 1/4
@@ -55,8 +60,9 @@ const (
 type node[K Ordered, V any] struct {
 	// Hot fields first: a level-0 scan touches key, val and next[0],
 	// which share the node's first cache lines.
-	key    K
-	val    V
+	key K
+	val V
+	// height is the tower height; 0 marks the head sentinel.
 	height int32
 	next   [MaxHeight]atomic.Pointer[node[K, V]]
 }
@@ -85,8 +91,10 @@ type List[K Ordered, V any] struct {
 }
 
 // alloc bump-allocates one zeroed node from the arena, growing slabs
-// geometrically up to maxSlabSize.
-func (l *List[K, V]) alloc() *node[K, V] {
+// geometrically up to maxSlabSize. It returns the bytes of the slab it had
+// to allocate, 0 when the current slab had room.
+func (l *List[K, V]) alloc() (*node[K, V], int64) {
+	var grew int64
 	if l.slabPos == len(l.slab) {
 		next := len(l.slab) * 2
 		if next < minSlabSize {
@@ -97,10 +105,11 @@ func (l *List[K, V]) alloc() *node[K, V] {
 		}
 		l.slab = make([]node[K, V], next)
 		l.slabPos = 0
+		grew = int64(next) * int64(unsafe.Sizeof(node[K, V]{}))
 	}
 	n := &l.slab[l.slabPos]
 	l.slabPos++
-	return n
+	return n, grew
 }
 
 // New returns an empty list. seed varies the height sequence between lists
@@ -110,7 +119,7 @@ func New[K Ordered, V any](seed uint64) *List[K, V] {
 		seed = 0x9e3779b97f4a7c15
 	}
 	return &List[K, V]{
-		head: &node[K, V]{height: MaxHeight},
+		head: &node[K, V]{},
 		rng:  seed,
 	}
 }
@@ -134,8 +143,10 @@ func (l *List[K, V]) randomHeight() int {
 func (l *List[K, V]) Len() int { return int(l.length.Load()) }
 
 // Put inserts key with value v after any existing entries with the same
-// key. Only the single writer goroutine may call Put.
-func (l *List[K, V]) Put(key K, v V) {
+// key and returns the bytes of the node slab it allocated (0 for most
+// inserts: a slab holds up to maxSlabSize nodes). Only the single writer
+// goroutine may call Put.
+func (l *List[K, V]) Put(key K, v V) (allocBytes int64) {
 	// Phase 1 (paper Alg. 2, lines 1-11): locate, at every level, the
 	// last node whose key is <= key (so duplicates append after their
 	// equals), recording it in pre. Ascending inserts resume from the
@@ -171,7 +182,7 @@ func (l *List[K, V]) Put(key K, v V) {
 	// fully formed node at level 0 and possibly-later at upper levels,
 	// which only affects search speed, never correctness.
 	h := l.randomHeight()
-	nn := l.alloc()
+	nn, allocBytes := l.alloc()
 	nn.key, nn.val, nn.height = key, v, int32(h)
 	for i := 0; i < h; i++ {
 		nn.next[i].Store(pre[i].next[i].Load())
@@ -188,6 +199,7 @@ func (l *List[K, V]) Put(key K, v V) {
 	}
 	l.hintKey = key
 	l.hintValid = true
+	return allocBytes
 }
 
 // Get returns the value of the first entry with the given key.
@@ -271,6 +283,73 @@ func (l *List[K, V]) All(fn func(key K, v V) bool) {
 			return
 		}
 	}
+}
+
+// Cursor is a saved level-0 position in a list: the head (before every
+// entry) or one entry. The zero Cursor is no position at all; Valid tells
+// them apart.
+//
+// Holding and walking a cursor is safe alongside the writer, with one
+// condition the holder must check before each walk: the cursor's entry
+// must not have been evicted. An evicted entry keeps its forward pointer,
+// so a walk from it still terminates and sees keys in order, but entries
+// inserted after the unlink ahead of the first survivor are not reachable
+// from it. A holder that knows a bound at or above every eviction so far
+// (the time-travel index's users know it from the watermark) compares Key
+// against it and reseeks when the entry lies below. The head is never
+// evicted.
+//
+// A cursor keeps its entry's whole slab reachable; drop cursors that are
+// no longer walked.
+type Cursor[K Ordered, V any] struct {
+	n *node[K, V]
+}
+
+// Before returns a cursor at the last entry with key < target, or at the
+// head if there is none.
+func (l *List[K, V]) Before(target K) Cursor[K, V] {
+	return Cursor[K, V]{l.seekLast(target, true)}
+}
+
+// Through returns a cursor at the last entry with key <= target, or at the
+// head if there is none.
+func (l *List[K, V]) Through(target K) Cursor[K, V] {
+	return Cursor[K, V]{l.seekLast(target, false)}
+}
+
+// seekLast descends like seekGE but returns the last node before the
+// target: key < target when strict, key <= target otherwise.
+func (l *List[K, V]) seekLast(target K, strict bool) *node[K, V] {
+	n := l.head
+	for level := MaxHeight - 1; level >= 0; level-- {
+		for {
+			next := n.next[level].Load()
+			if next == nil || next.key > target || strict && next.key == target {
+				break
+			}
+			n = next
+		}
+	}
+	return n
+}
+
+// Valid reports whether c is a position (not the zero Cursor).
+func (c Cursor[K, V]) Valid() bool { return c.n != nil }
+
+// AtHead reports whether c is before every entry.
+func (c Cursor[K, V]) AtHead() bool { return c.n.height == 0 }
+
+// Key returns the key of c's entry; meaningless at the head.
+func (c Cursor[K, V]) Key() K { return c.n.key }
+
+// Value returns the value of c's entry; meaningless at the head.
+func (c Cursor[K, V]) Value() V { return c.n.val }
+
+// Next returns the cursor at the entry after c and true, or false at the
+// end of the list. It costs one atomic load; c itself does not move.
+func (c Cursor[K, V]) Next() (Cursor[K, V], bool) {
+	n := c.n.next[0].Load()
+	return Cursor[K, V]{n}, n != nil
 }
 
 // EvictBefore unlinks every entry with key < bound and returns how many

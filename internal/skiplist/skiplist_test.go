@@ -2,10 +2,12 @@ package skiplist
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEmpty(t *testing.T) {
@@ -341,5 +343,143 @@ func TestHeightDistribution(t *testing.T) {
 	}
 	if hMore == 0 {
 		t.Fatal("no tall towers at all")
+	}
+}
+
+func TestCursorBeforeThroughNext(t *testing.T) {
+	l := New[int64, int](5)
+	if c := l.Before(10); !c.Valid() || !c.AtHead() {
+		t.Fatal("Before on an empty list is not the head")
+	}
+	if _, ok := l.Through(10).Next(); ok {
+		t.Fatal("Next from the head of an empty list found an entry")
+	}
+	for _, k := range []int64{10, 20, 20, 30} {
+		l.Put(k, int(k))
+	}
+	if c := l.Before(10); !c.AtHead() {
+		t.Fatalf("Before(10) at key %d, want the head", c.Key())
+	}
+	for _, tc := range []struct {
+		c    Cursor[int64, int]
+		want int64
+	}{
+		{l.Before(11), 10}, {l.Before(20), 10}, {l.Before(21), 20},
+		{l.Through(10), 10}, {l.Through(19), 10}, {l.Through(20), 20}, {l.Through(99), 30},
+	} {
+		if tc.c.AtHead() || tc.c.Key() != tc.want {
+			t.Fatalf("cursor at %d, want %d", tc.c.Key(), tc.want)
+		}
+	}
+	// Through(20) sits on the second 20: the last entry with key <= 20.
+	c := l.Through(20)
+	n, ok := c.Next()
+	if !ok || n.Key() != 30 || n.Value() != 30 {
+		t.Fatal("Next after Through(20) is not 30")
+	}
+	if _, ok := n.Next(); ok {
+		t.Fatal("Next past the last entry")
+	}
+	// A cursor sees entries inserted after it was taken.
+	l.Put(25, 25)
+	if n, _ := c.Next(); n.Key() != 25 {
+		t.Fatalf("Next after an insert = %d, want 25", n.Key())
+	}
+	var zero Cursor[int64, int]
+	if zero.Valid() {
+		t.Fatal("zero Cursor is valid")
+	}
+}
+
+// TestCursorSWMR holds cursors across the writer's inserts and evictions:
+// readers walk forward from saved positions (reseeking now and then, and
+// keeping cursors whose entries the writer has since evicted) while one
+// writer inserts ascending keys with stragglers and evicts prefixes. Every
+// walk must terminate and see keys in non-decreasing order.
+func TestCursorSWMR(t *testing.T) {
+	l := New[int64, int64](13)
+	const n = 100_000
+	var done sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan string, 4)
+	for r := 0; r < 4; r++ {
+		done.Add(1)
+		go func(seed int64) {
+			defer done.Done()
+			rng := rand.New(rand.NewSource(seed))
+			c := l.Before(0)
+			for iter := 0; ; iter++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if iter%64 == 0 {
+					c = l.Before(rng.Int63n(2 * n))
+				}
+				last := int64(-1 << 62)
+				if !c.AtHead() {
+					last = c.Key()
+				}
+				// Walk a bounded stretch, keeping the cursor where
+				// it stops (possibly on an entry that gets evicted).
+				for steps := 0; steps < 256; steps++ {
+					nx, ok := c.Next()
+					if !ok {
+						break
+					}
+					if nx.Key() < last {
+						errs <- "cursor walk went backwards"
+						return
+					}
+					if nx.Value() != nx.Key()*3 {
+						errs <- "cursor saw a torn entry"
+						return
+					}
+					last = nx.Key()
+					c = nx
+				}
+			}
+		}(int64(r + 1))
+	}
+	rng := rand.New(rand.NewSource(99))
+	for i := int64(0); i < n; i++ {
+		k := 2 * i
+		if i%7 == 3 {
+			k -= rng.Int63n(600) // straggler behind the newest key
+		}
+		l.Put(k, k*3)
+		if i%1024 == 1023 {
+			l.EvictBefore(2*i - 1500)
+		}
+	}
+	close(stop)
+	done.Wait()
+	select {
+	case e := <-errs:
+		t.Fatal(e)
+	default:
+	}
+}
+
+// TestPutReportsSlabBytes: Put reports exactly the node slabs it
+// allocates — doubling from minSlabSize, capped at maxSlabSize — and 0
+// for every insert a slab already had room for.
+func TestPutReportsSlabBytes(t *testing.T) {
+	l := New[int64, float64](3)
+	node := int64(unsafe.Sizeof(node[int64, float64]{}))
+	var want, got []int64
+	for size, filled := minSlabSize, 0; filled < 3000; {
+		want = append(want, int64(size)*node)
+		filled += size
+		size = min(2*size, maxSlabSize)
+	}
+	for i := 0; i < 3000; i++ {
+		if b := l.Put(int64(i), 1); b != 0 {
+			got = append(got, b)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("slab bytes %v, want %v", got, want)
 	}
 }

@@ -5,7 +5,11 @@
 // Locating a window boundary costs O(log N_key) + O(log N_ts), and a window
 // scan then touches only in-window tuples — this is what makes lateness
 // (and therefore buffer size) insignificant to Scale-OIJ's performance,
-// in contrast to the full-buffer scans of Key-OIJ.
+// in contrast to the full-buffer scans of Key-OIJ. A reader whose window
+// only slides forward pays even that only once: it keeps the key's Series
+// and a Cursor at each window edge, and walks the edges forward from them,
+// so the O(log) seeks happen only when it has to fall back (first window,
+// team change, a window that moved backward, or an evicted cursor).
 //
 // The time layer stores compact (timestamp, value) entries: the engines
 // aggregate over the numeric payload, and keeping entries small preserves
@@ -50,6 +54,19 @@ func (s *Series) Ascend(lo tuple.Time, fn func(ts tuple.Time, val float64) bool)
 	s.times.Ascend(lo, fn)
 }
 
+// Cursor is a saved position in a Series' time layer. Before walking
+// one, a holder checks that it is at the head or that its Key is at or
+// above every eviction bound so far (see skiplist.Cursor).
+type Cursor = skiplist.Cursor[tuple.Time, float64]
+
+// Before returns a cursor at the last entry with timestamp < ts, or at the
+// head if there is none.
+func (s *Series) Before(ts tuple.Time) Cursor { return s.times.Before(ts) }
+
+// Through returns a cursor at the last entry with timestamp <= ts, or at
+// the head if there is none.
+func (s *Series) Through(ts tuple.Time) Cursor { return s.times.Through(ts) }
+
 // MinTS returns the smallest buffered timestamp.
 func (s *Series) MinTS() (tuple.Time, bool) {
 	ts, _, ok := s.times.Min()
@@ -82,8 +99,10 @@ func New(seed uint64) *Index {
 	}
 }
 
-// Put inserts a tuple's (timestamp, value) under its key. Owner-only.
-func (ix *Index) Put(t tuple.Tuple) {
+// Put inserts a tuple's (timestamp, value) under its key and returns the
+// bytes of the skip-list node slabs it allocated: 0 for most inserts,
+// since a slab holds up to 512 nodes. Owner-only.
+func (ix *Index) Put(t tuple.Tuple) (allocBytes int64) {
 	s, ok := ix.cache[t.Key]
 	if !ok {
 		// Single writer: check-then-insert cannot race with another
@@ -91,15 +110,17 @@ func (ix *Index) Put(t tuple.Tuple) {
 		// until the tuple is published) or see the fully built series.
 		ix.seed = ix.seed*6364136223846793005 + 1442695040888963407
 		s = newSeries(ix.seed | 1)
-		ix.keys.Put(t.Key, s)
+		allocBytes = ix.keys.Put(t.Key, s)
 		ix.cache[t.Key] = s
 	}
-	s.times.Put(t.TS, t.Val)
+	allocBytes += s.times.Put(t.TS, t.Val)
 	ix.size++
+	return allocBytes
 }
 
 // Series returns the per-key time layer, or nil if the key has never been
-// inserted. Readers use it for window scans and incremental cursors.
+// inserted. A key's Series never changes once created (eviction keeps it),
+// so a reader may resolve it once and keep it.
 func (ix *Index) Series(key tuple.Key) *Series {
 	s, ok := ix.keys.Get(key)
 	if !ok {
