@@ -189,10 +189,7 @@ func newServerObs(s *Server, joiners int) *serverObs {
 		return float64(lag)
 	})
 	reg.NewGaugeFunc("oij_pending_requests", "Requests awaiting a result.", func() float64 {
-		s.mu.Lock()
-		n := len(s.pending)
-		s.mu.Unlock()
-		return float64(n)
+		return float64(s.pendingRequests())
 	})
 	reg.NewGaugeFunc("oij_ingest_queue_depth", "Tuples buffered in the ingest funnel.", func() float64 {
 		return float64(s.funnel.Len())
@@ -612,14 +609,23 @@ type Status struct {
 	PerJoiner        []JoinerStatus     `json:"per_joiner"`
 }
 
+// pendingRequests counts registered bases not yet answered. Each one
+// produces exactly one result, closed sessions' included, so it is bases
+// minus results; results is read first, so a base answered between the
+// two reads cannot make it negative.
+func (s *Server) pendingRequests() int {
+	results := s.o.results.Total()
+	return int(s.o.bases.Load() - results)
+}
+
 // Statusz snapshots the server without stopping it: counters and gauges
 // are atomics, the latency histogram merges per-joiner SWMR shards, and
-// the only lock taken is the short pending-map mutex.
+// the only lock taken is the session-set mutex, to count sessions.
 func (s *Server) Statusz() Status {
 	st := s.eng.Stats()
 	maxTS, wm, lag := s.watermarkLag()
+	pending := s.pendingRequests()
 	s.mu.Lock()
-	pending := len(s.pending)
 	active := len(s.sessions)
 	s.mu.Unlock()
 

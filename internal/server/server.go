@@ -305,15 +305,18 @@ type Server struct {
 	// (serverSink.EndBatch), so a session gets one handoff per batch.
 	emits []emitBatch
 
+	// routes maps each registered base's engine seq to its session.
+	routes routeRing
+
+	// mu guards sessions and closed; the ingest loop and the joiners
+	// never take it.
 	mu       sync.Mutex
-	pending  map[uint64]pendingBase // engine (global) seq -> session route
 	sessions map[*session]struct{}
 	closed   bool
 
-	nextGlobal uint64
-	served     atomic.Int64
-	wg         sync.WaitGroup // ingest + accept loops
-	sessWG     sync.WaitGroup // session goroutines
+	served atomic.Int64
+	wg     sync.WaitGroup // ingest + accept loops
+	sessWG sync.WaitGroup // session goroutines
 
 	// Overload-control state. probesIngested counts every probe handed to
 	// the engine (network + WAL recovery), so probesIngested − Evicted
@@ -402,7 +405,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:         cfg,
 		funnel:      queue.NewMPSC[ingestReq](cfg.ingestBuffer),
 		emits:       make([]emitBatch, cfg.Engine.Joiners),
-		pending:     map[uint64]pendingBase{},
 		sessions:    map[*session]struct{}{},
 		stopSampler: make(chan struct{}),
 		tracer:      trace.NewTracer(cfg.TraceSampleN, cfg.TraceRing),
@@ -593,21 +595,18 @@ func (k serverSink) Emit(joiner int, r tuple.Result) {
 	b.results = append(b.results, r)
 }
 
-// EndBatch implements engine.BatchSink: it routes the batch's results to
-// their sessions with one pending-map lock, and hands each session every
-// run of consecutive results it owns as one delivery, in emit order. The
-// cost is linear in the batch, however many sessions it spans.
+// EndBatch implements engine.BatchSink: it takes each result's route from
+// the route ring, without a lock, and hands each session every run of
+// consecutive results it owns as one delivery, in emit order. The cost is
+// linear in the batch, however many sessions it spans.
 func (k serverSink) EndBatch(joiner int) {
 	b := &k.s.emits[joiner]
 	if len(b.results) == 0 {
 		return
 	}
-	k.s.mu.Lock()
 	for _, r := range b.results {
-		b.routes = append(b.routes, k.s.pending[r.BaseSeq]) // zero route: session gone
-		delete(k.s.pending, r.BaseSeq)
+		b.routes = append(b.routes, k.s.routes.take(r.BaseSeq))
 	}
-	k.s.mu.Unlock()
 	for i := range b.routes {
 		p := &b.routes[i]
 		if p.sess == nil {
@@ -903,12 +902,8 @@ func (s *Server) ingestOne(req *ingestReq, now time.Time) bool {
 			return false
 		}
 		t.Side = tuple.Base
-		t.Seq = s.nextGlobal
+		t.Seq = s.routes.add(pendingBase{sess: req.sess, localSeq: req.localSeq, sp: req.sp})
 		t.Arrival = now
-		s.nextGlobal++
-		s.mu.Lock()
-		s.pending[t.Seq] = pendingBase{sess: req.sess, localSeq: req.localSeq, sp: req.sp}
-		s.mu.Unlock()
 		req.sess.outstanding.Add(1)
 		s.o.bases.Inc()
 		s.o.hotBases.Observe(uint64(t.Key))
@@ -1437,13 +1432,20 @@ type tracedWrite struct {
 // last two stages are stamped around it: emit (join end → this pickup)
 // before its encode, tcp_write (its encode → the drain's flush) after;
 // then the span is complete and retires to the /tracez ring. Spans whose
-// frames did not reach the wire are abandoned.
+// frames did not reach the wire are abandoned. A flush ack promises every
+// answer sent before it, so the sampled ones among them are flushed and
+// retired before the ack is encoded: once a client holds the ack, /tracez
+// holds their spans.
 func (se *session) drain(w *wire.Writer, run []outMsg) error {
 	var err error
 	for err == nil {
 		n, left, _ := se.out.Take(run)
 		for i := range run[:n] {
 			om := &run[i]
+			if err == nil && om.m.Kind == wire.TagFlush && len(se.traced) > 0 {
+				err = w.Flush()
+				se.retire(err)
+			}
 			if err != nil {
 				se.s.tracer.Abandon(om.sp)
 				continue
@@ -1462,6 +1464,13 @@ func (se *session) drain(w *wire.Writer, run []outMsg) error {
 	if err == nil {
 		err = w.Flush()
 	}
+	se.retire(err)
+	return err
+}
+
+// retire completes the spans of the results encoded since the last
+// retire, or abandons them if the flush that carried them failed.
+func (se *session) retire(err error) {
 	for _, tw := range se.traced {
 		if err != nil {
 			se.s.tracer.Abandon(tw.sp)
@@ -1472,7 +1481,6 @@ func (se *session) drain(w *wire.Writer, run []outMsg) error {
 	}
 	clear(se.traced)
 	se.traced = se.traced[:0]
-	return err
 }
 
 // writeLoop drains the outgoing queue each time it is woken. A write

@@ -336,8 +336,15 @@ func (t *Tracer) Abandon(sp *Span) {
 
 // Snapshot returns completed spans oldest-first.
 func (t *Tracer) Snapshot() []SpanSnap {
+	spans, _, _ := t.snapshot()
+	return spans
+}
+
+// snapshot returns the completed spans oldest-first with the completed
+// and dropped counts, all read in one critical section.
+func (t *Tracer) snapshot() (out []SpanSnap, completed, dropped uint64) {
 	if t == nil {
-		return nil
+		return nil, 0, 0
 	}
 	t.mu.Lock()
 	spans := make([]*Span, 0, len(t.ring))
@@ -347,12 +354,13 @@ func (t *Tracer) Snapshot() []SpanSnap {
 	} else {
 		spans = append(spans, t.ring...)
 	}
+	completed, dropped = t.completed, t.dropped
 	t.mu.Unlock()
-	out := make([]SpanSnap, len(spans))
+	out = make([]SpanSnap, len(spans))
 	for i, sp := range spans {
 		out[i] = sp.snap()
 	}
-	return out
+	return out, completed, dropped
 }
 
 // TracezDoc is the /tracez JSON document.
@@ -364,16 +372,13 @@ type TracezDoc struct {
 	Spans       []SpanSnap `json:"spans"`
 }
 
-// Doc assembles the /tracez document.
+// Doc assembles the /tracez document. Its spans and counts come from one
+// critical section, so it never counts a span its ring does not yet hold;
+// the active count is read after them, since a span leaves the active set
+// before it enters the ring.
 func (t *Tracer) Doc() TracezDoc {
-	d := TracezDoc{SampleEvery: t.SampleN(), Spans: t.Snapshot()}
-	if t != nil {
-		d.ActiveSpans = t.nActive.Load()
-		t.mu.Lock()
-		d.Completed = t.completed
-		d.Dropped = t.dropped
-		t.mu.Unlock()
-	}
+	spans, completed, dropped := t.snapshot()
+	d := TracezDoc{SampleEvery: t.SampleN(), ActiveSpans: t.Active(), Completed: completed, Dropped: dropped, Spans: spans}
 	if d.Spans == nil {
 		d.Spans = []SpanSnap{}
 	}
