@@ -25,11 +25,8 @@ var usageText = `Usage:
                     [-out BENCH_fresh.json] [-n N] [-repeats R] [-q]
   oijbench sim      [-engine e] [-joiners J] [-mode arrival|watermark] [-time-scale S]
                     [-max-tuples N] [-unpaced] [-addr host:port [-admin url]]
-                    [-serve [-admission p] [-mem-cap N] [-deadline d] [-util-epoch d]
-                     [-controller [-ctl-max-joiners N] [-ctl-p99 d]]
-                     [-flight-out FLIGHT.json]]
+                    [-serve [-admission p] [-mem-cap N] [-deadline d] [-util-epoch d]]
                     [-out SIM_name.json] [-check-slo] [-q] profile.json
-  oijbench simdiff  [-dim name] BASE_SIM.json CANDIDATE_SIM.json
   oijbench profdiff [-top N] [-threshold pp] [-gate regexp] BASE CANDIDATE
                     (each a pprof file or a profiling ring dir; runs go tool pprof)
   oijbench report   BENCH_x.json

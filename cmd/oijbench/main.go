@@ -35,8 +35,6 @@ func main() {
 			os.Exit(runReport(os.Args[2:], os.Stdout, os.Stderr))
 		case "sim":
 			os.Exit(runSim(os.Args[2:], os.Stdout, os.Stderr))
-		case "simdiff":
-			os.Exit(runSimDiff(os.Args[2:], os.Stdout, os.Stderr))
 		case "profdiff":
 			os.Exit(runProfDiff(os.Args[2:], os.Stdout, os.Stderr))
 		case "help", "-h", "-help", "--help":

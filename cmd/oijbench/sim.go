@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"oij/internal/control"
 	"oij/internal/engine"
 	"oij/internal/harness"
 	"oij/internal/perf"
@@ -33,15 +32,11 @@ func runSim(args []string, stdout, stderr io.Writer) int {
 	quiet := fs.Bool("q", false, "suppress per-interval progress")
 
 	serve := fs.Bool("serve", false,
-		"drive an in-process oijd (full serving stack: admission, SLO, controller) over loopback instead of a bare engine; SLO thresholds come from the profile")
+		"drive an in-process oijd (full serving stack: admission, memory guard, SLO) over loopback instead of a bare engine; SLO thresholds come from the profile")
 	admission := fs.String("admission", server.AdmissionBlock, "with -serve: admission policy (block, shed-probes, reject)")
 	memCap := fs.Int64("mem-cap", 0, "with -serve: buffered-probe cap (0 disables the memory guard)")
 	deadline := fs.Duration("deadline", 0, "with -serve: per-request NACK deadline (0 disables)")
-	utilEpoch := fs.Duration("util-epoch", 0, "with -serve: sampler/controller epoch (0 keeps the server default of 1s)")
-	controller := fs.Bool("controller", false, "with -serve: enable the adaptive self-tuning controller")
-	ctlMaxJoiners := fs.Int("ctl-max-joiners", 0, "with -controller: active-joiner ceiling; the pool is sized to it (0 keeps -joiners)")
-	ctlP99 := fs.Duration("ctl-p99", 0, "with -controller: p99 target the admission ladder defends (0 inherits the profile SLO)")
-	flightOut := fs.String("flight-out", "", "with -serve: dump the server's flight recorder (controller decisions, SLO transitions) to this path on exit")
+	utilEpoch := fs.Duration("util-epoch", 0, "with -serve: sampler epoch (0 keeps the server default of 1s)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -86,23 +81,13 @@ func runSim(args []string, stdout, stderr io.Writer) int {
 			MemCapProbes:    *memCap,
 			UtilEpoch:       *utilEpoch,
 		}
-		// The profile's SLO doubles as the server's /healthz thresholds so
-		// the controller defends the same targets the report scores.
+		// The profile's SLO doubles as the server's /healthz thresholds,
+		// so /healthz scores the same targets the report does.
 		if slo := prof.SLO; slo != nil {
 			cfg.SLOP99 = time.Duration(slo.P99Ms * float64(time.Millisecond))
 			cfg.SLOWatermarkLag = time.Duration(slo.MaxLagS * float64(time.Second))
 		}
-		if *controller {
-			cfg.Control = control.Config{
-				Enabled:    true,
-				MaxJoiners: *ctlMaxJoiners,
-				P99Target:  *ctlP99,
-			}
-		}
 		serveCfg = &cfg
-	} else if *controller || *flightOut != "" {
-		fmt.Fprintln(stderr, "oijbench sim: -controller and -flight-out need -serve")
-		return 2
 	}
 
 	var progress io.Writer
@@ -117,7 +102,6 @@ func runSim(args []string, stdout, stderr io.Writer) int {
 		Addr:      *addr,
 		AdminURL:  strings.TrimSuffix(*admin, "/"),
 		Serve:     serveCfg,
-		FlightOut: *flightOut,
 		Unpaced:   *unpaced,
 		MaxTuples: *maxTuples,
 		Progress:  progress,

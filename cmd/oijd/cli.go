@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"oij/internal/agg"
-	"oij/internal/control"
 	"oij/internal/engine"
 	"oij/internal/harness"
 	"oij/internal/server"
@@ -85,13 +84,6 @@ func parseArgs(args []string, w io.Writer) (*options, error) {
 			"continuous-profiling duty cycle: one capture round per period (0 keeps the default of 60s)")
 		profileCPUSlice = fs.Duration("profile-cpu-slice", 0,
 			"CPU profile slice length per round; must be shorter than -profile-period (0 keeps the default of 2s)")
-
-		controller = fs.Bool("controller", false,
-			"enable the adaptive self-tuning controller: retunes active joiners, admission policy, trace sampling, and the soft memory watermark live against the SLO (inspect and override at /controlz)")
-		ctlMaxJoiners = fs.Int("ctl-max-joiners", 0,
-			"controller ceiling on active joiners; the engine pool is sized to it up front (0 keeps -parallel)")
-		ctlP99 = fs.Duration("ctl-p99", 0,
-			"p99 latency target the controller's admission ladder defends (0 inherits -slo-p99)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -141,8 +133,6 @@ func parseArgs(args []string, w io.Writer) (*options, error) {
 		{"max-repl-lag", *maxReplLag < 0},
 		{"profile-period", *profilePeriod < 0},
 		{"profile-cpu-slice", *profileCPUSlice < 0},
-		{"ctl-max-joiners", *ctlMaxJoiners < 0},
-		{"ctl-p99", *ctlP99 < 0},
 	} {
 		if f.negative {
 			return nil, fmt.Errorf("-%s must not be negative", f.name)
@@ -180,16 +170,6 @@ func parseArgs(args []string, w io.Writer) (*options, error) {
 		o.cfg.ProfileDir = *profileDir
 		o.cfg.ProfilePeriod = period
 		o.cfg.ProfileCPUSlice = slice
-	}
-	if !*controller && (*ctlMaxJoiners != 0 || *ctlP99 != 0) {
-		return nil, fmt.Errorf("-ctl-* flags need -controller")
-	}
-	if *controller {
-		o.cfg.Control = control.Config{
-			Enabled:    true,
-			MaxJoiners: *ctlMaxJoiners,
-			P99Target:  *ctlP99,
-		}
 	}
 	if *sqlText != "" {
 		q, err := sql.Parse(*sqlText)

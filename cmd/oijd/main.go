@@ -25,7 +25,6 @@ import (
 	"syscall"
 	"time"
 
-	"oij/internal/control"
 	"oij/internal/server"
 )
 
@@ -85,14 +84,6 @@ func main() {
 	}
 	if a := srv.AdminAddr(); a != nil {
 		fmt.Printf("oijd: observability on http://%s (/metrics /statusz /tracez /timeline /healthz /debug/flightrecorder /debug/pprof)\n", a)
-	}
-	if o.cfg.Control.Enabled {
-		maxJ := o.cfg.Control.MaxJoiners
-		if maxJ < o.cfg.Engine.Joiners {
-			maxJ = o.cfg.Engine.Joiners
-		}
-		fmt.Printf("oijd: controller: joiners=[%d,%d] util=[%g,%g] p99-target=%s (inspect/override at /controlz)\n",
-			control.MinJoiners, maxJ, control.UtilLow, control.UtilHigh, o.cfg.Control.P99Target)
 	}
 	if o.cfg.ProfileDir != "" {
 		fmt.Printf("oijd: continuous profiling to %s (%s CPU slice every %s, see /profilez)\n",

@@ -272,8 +272,6 @@ func TestParseRejectsOutOfRange(t *testing.T) {
 		{"-slow-grace", "-1s"},
 		append([]string{"-lease", "-1s"}, repl...),
 		append([]string{"-max-repl-lag", "-5"}, repl...),
-		{"-controller", "-ctl-max-joiners", "-1"},
-		{"-controller", "-ctl-p99", "-1ms"},
 	} {
 		if _, err := parseArgs(args, io.Discard); err == nil {
 			t.Errorf("parseArgs(%q): expected error", args)
@@ -285,18 +283,13 @@ func TestParseRejectsOutOfRange(t *testing.T) {
 // mask parses, and the server rejects it with an error instead of
 // panicking.
 func TestTooManyJoinersIsAnError(t *testing.T) {
-	for _, args := range [][]string{
-		{"-parallel", "65"},
-		{"-controller", "-ctl-max-joiners", "65"},
-	} {
-		o, err := parseArgs(args, io.Discard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if srv, err := server.New(o.cfg); err == nil {
-			srv.Shutdown()
-			t.Errorf("%q: server accepted 65 Scale-OIJ joiners", args)
-		}
+	o, err := parseArgs([]string{"-parallel", "65"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv, err := server.New(o.cfg); err == nil {
+		srv.Shutdown()
+		t.Error("server accepted 65 Scale-OIJ joiners")
 	}
 }
 

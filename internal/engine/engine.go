@@ -211,25 +211,6 @@ type Engine interface {
 	Introspector
 }
 
-// Resizer is implemented by engines that can retune their active joiner
-// count live, without a restart and without migrating buffered data. The
-// full joiner pool (Config.Joiners goroutines and rings) stays running —
-// resizing only changes how many of them receive newly routed tuples, so
-// watermarks keep flowing to every ring and data buffered on deactivated
-// joiners stays readable until it expires. Scale-OIJ implements it via its
-// shared-processing read-set masks; engines with immutable partition
-// ownership (static hash routing) do not.
-type Resizer interface {
-	// Resize sets the active joiner count to n (clamped to
-	// [1, Config.Joiners]). Returns false when the engine cannot resize
-	// under its current options (the caller should stop asking). Driver
-	// goroutine only, like Ingest.
-	Resize(n int) bool
-	// ActiveJoiners returns the current active joiner count. Safe from
-	// any goroutine.
-	ActiveJoiners() int
-}
-
 // Introspector is the live transport state every engine exposes to the
 // observability layer (Core implements it once for all of them). All
 // methods are safe from any goroutine while the engine runs — they read

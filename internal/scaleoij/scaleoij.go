@@ -89,13 +89,6 @@ type Engine struct {
 	sinceBal  int
 	lastWrite [][]tuple.Time // [partition][joiner] newest event ts routed
 
-	// active is the number of joiners currently receiving newly routed
-	// tuples (driver-owned); pubActive mirrors it for concurrent readers
-	// (ActiveJoiners). The full cfg.Joiners pool keeps running — see
-	// Resize.
-	active    int
-	pubActive atomic.Int32
-
 	// masks[p] is partition p's read set: every joiner whose index may
 	// hold live tuples of p. Written by the driver, read by joiners.
 	masks []atomic.Uint64
@@ -129,8 +122,6 @@ func New(cfg engine.Config, opt Options, sink engine.Sink) *Engine {
 		processed: watermark.NewTracker(cfg.Joiners),
 		finalized: watermark.NewTracker(cfg.Joiners),
 	}
-	e.active = cfg.Joiners
-	e.pubActive.Store(int32(cfg.Joiners))
 	for i := range e.lastWrite {
 		e.lastWrite[i] = make([]tuple.Time, cfg.Joiners)
 		e.masks[i].Store(1 << uint(i%cfg.Joiners))
@@ -230,40 +221,6 @@ func (e *Engine) Drain() {
 // Reschedules reports accepted dynamic-schedule changes so far; safe to
 // read live.
 func (e *Engine) Reschedules() int64 { return e.bal.Reschedules.Load() }
-
-// Resize implements engine.Resizer: it narrows (or re-widens) routing to
-// the first n joiners without migrating any buffered data. The read-set
-// masks make this safe — a joiner that stops receiving a partition keeps
-// its mask bit until everything it buffered has expired (rebalance prunes
-// it after the retention horizon), so shared-processing reads still cover
-// every live tuple and answers stay byte-identical to the oracle across a
-// resize. The full pool of cfg.Joiners goroutines and rings keeps running:
-// watermarks are broadcast to all of them, so finalization and eviction on
-// deactivated joiners continue. Requires SharedProcessing (without it a
-// deactivated joiner's buffer would become unreachable); returns false
-// otherwise. Driver goroutine only.
-func (e *Engine) Resize(n int) bool {
-	if !e.opt.SharedProcessing {
-		return false
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > e.Cfg.Joiners {
-		n = e.Cfg.Joiners
-	}
-	if n == e.active {
-		return true
-	}
-	e.active = n
-	e.pubActive.Store(int32(n))
-	e.bal.SetActive(n)
-	e.schedule = e.schedule.Restrict(n)
-	return true
-}
-
-// ActiveJoiners implements engine.Resizer. Safe from any goroutine.
-func (e *Engine) ActiveJoiners() int { return int(e.pubActive.Load()) }
 
 // incEntry caches the previous window's aggregate for one key at one
 // joiner, so the next window is computed by adding and subtracting only the

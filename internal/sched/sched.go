@@ -63,32 +63,6 @@ func (s *Schedule) TeamMask(p int) uint64 {
 	return m
 }
 
-// Restrict returns a copy of the schedule with every team member >= active
-// removed; a team left empty collapses to the partition's home joiner under
-// the restricted pool (p mod active). Live resize uses it: the restricted
-// schedule routes new tuples only to active joiners, while the engine's
-// read-set masks keep data already buffered on deactivated joiners
-// readable until it expires — ownership is narrowed, never migrated.
-func (s *Schedule) Restrict(active int) *Schedule {
-	if active < 1 {
-		active = 1
-	}
-	n := s.clone()
-	for p, team := range n.Teams {
-		keep := team[:0]
-		for _, j := range team {
-			if j < active {
-				keep = append(keep, j)
-			}
-		}
-		if len(keep) == 0 {
-			keep = append(keep, p%active)
-		}
-		n.Teams[p] = keep
-	}
-	return n
-}
-
 // clone copies the team structure (sharing member slices is unsafe because
 // rebalancing appends).
 func (s *Schedule) clone() *Schedule {
@@ -186,10 +160,6 @@ func (c Config) WithDefaults() Config {
 type Balancer struct {
 	cfg     Config
 	joiners int
-	// active is the number of joiners eligible as routing targets
-	// (<= joiners). The controller shrinks/grows it live via SetActive;
-	// the pool itself never changes size.
-	active int
 	// Counts[p] is the (decayed) number of tuples recently routed to
 	// partition p; the driver increments it per tuple.
 	Counts []float64
@@ -207,24 +177,8 @@ func NewBalancer(cfg Config, joiners int) (*Balancer, error) {
 	if cfg.Topology != nil && len(cfg.Topology) != joiners {
 		return nil, fmt.Errorf("sched: topology describes %d joiners, have %d", len(cfg.Topology), joiners)
 	}
-	return &Balancer{cfg: cfg, joiners: joiners, active: joiners, Counts: make([]float64, cfg.Partitions)}, nil
+	return &Balancer{cfg: cfg, joiners: joiners, Counts: make([]float64, cfg.Partitions)}, nil
 }
-
-// SetActive restricts (or re-widens) the set of joiners the balancer may
-// route to: homes become p mod n and replication targets stay below n.
-// Clamped to [1, joiners]. Driver goroutine only, like Rebalance.
-func (b *Balancer) SetActive(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > b.joiners {
-		n = b.joiners
-	}
-	b.active = n
-}
-
-// Active returns the current routing-eligible joiner count.
-func (b *Balancer) Active() int { return b.active }
 
 // nodeOf returns joiner j's NUMA node (0 on a flat machine).
 func (b *Balancer) nodeOf(j int) int {
@@ -244,10 +198,9 @@ func (b *Balancer) Partitions() int { return b.cfg.Partitions }
 func (b *Balancer) Rebalance(cur *Schedule) (*Schedule, bool) {
 	s := cur.clone()
 	changed := false
-	active := b.active
 	maxTeam := b.cfg.MaxTeam
-	if maxTeam <= 0 || maxTeam > active {
-		maxTeam = active
+	if maxTeam <= 0 || maxTeam > b.joiners {
+		maxTeam = b.joiners
 	}
 
 	// Shrink cold partitions back to their home joiner before growing
@@ -261,19 +214,19 @@ func (b *Balancer) Rebalance(cur *Schedule) (*Schedule, bool) {
 		mean := total / float64(len(b.Counts))
 		for p, team := range s.Teams {
 			if len(team) > 1 && b.Counts[p] < mean*b.cfg.ShrinkFraction {
-				s.Teams[p] = []int{p % active}
+				s.Teams[p] = []int{p % b.joiners}
 				changed = true
 			}
 		}
 	}
 
-	lastUnb := metrics.Unbalancedness(s.Workloads(b.Counts, b.joiners)[:active])
+	lastUnb := metrics.Unbalancedness(s.Workloads(b.Counts, b.joiners))
 	// The outer loop mirrors Algorithm 3's "while true": each round moves
 	// one partition replica from the hottest joiner to the coldest. It
 	// terminates because every accepted step strictly decreases
 	// unbalancedness by at least δ and team growth is bounded.
-	for iter := 0; iter < 4*active; iter++ {
-		w := s.Workloads(b.Counts, b.joiners)[:active]
+	for iter := 0; iter < 4*b.joiners; iter++ {
+		w := s.Workloads(b.Counts, b.joiners)
 		jMax := argMax(w)
 		var mean float64
 		for _, v := range w {
@@ -302,9 +255,9 @@ func (b *Balancer) Rebalance(cur *Schedule) (*Schedule, bool) {
 			// reads stay NUMA-local when the machine has nodes —
 			// a large enough imbalance still overcomes the
 			// penalty, restoring pure Algorithm-3 behaviour.
-			homeNode := b.nodeOf(c.p % active)
+			homeNode := b.nodeOf(c.p % b.joiners)
 			target, best := -1, 0.0
-			for j := 0; j < active; j++ {
+			for j := 0; j < b.joiners; j++ {
 				if j == jMax || s.has(c.p, j) {
 					continue
 				}
@@ -324,7 +277,7 @@ func (b *Balancer) Rebalance(cur *Schedule) (*Schedule, bool) {
 				required = b.cfg.CrossNodePenalty
 			}
 			s.Teams[c.p] = append(s.Teams[c.p], target)
-			unb := metrics.Unbalancedness(s.Workloads(b.Counts, b.joiners)[:active])
+			unb := metrics.Unbalancedness(s.Workloads(b.Counts, b.joiners))
 			if lastUnb-unb > required {
 				lastUnb = unb
 				accepted = true

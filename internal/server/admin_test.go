@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -244,4 +245,156 @@ func TestUtilizationSamplerAdvances(t *testing.T) {
 		}
 	}
 	t.Fatal("utilization sampler never closed an epoch")
+}
+
+// statuszKeyPaths is every key path of the /statusz document that
+// TestStatuszKeyPaths's server produces: "a.b" is key b of object a, and
+// "a[]" descends into the elements of array a. oijtop, the scenario
+// simulator and the benchmark harness decode this document, so a change
+// here is a change to their input.
+var statuszKeyPaths = []string{
+	"algorithm",
+	"build", "build.go_version", "build.gomaxprocs", "build.revision",
+	"effectiveness",
+	"hot_keys", "hot_keys.bases", "hot_keys.bases.entries",
+	"hot_keys.bases.entries[].count", "hot_keys.bases.entries[].err",
+	"hot_keys.bases.entries[].key", "hot_keys.bases.k",
+	"hot_keys.bases.total", "hot_keys.bases_top1_share",
+	"hot_keys.bases_topk_share", "hot_keys.joiner_sharded", "hot_keys.k",
+	"hot_keys.per_joiner_k", "hot_keys.probes", "hot_keys.probes.entries",
+	"hot_keys.probes.entries[].count", "hot_keys.probes.entries[].err",
+	"hot_keys.probes.entries[].key", "hot_keys.probes.k",
+	"hot_keys.probes.total", "hot_keys.probes_top1_share",
+	"hot_keys.probes_topk_share",
+	"ingest_queue_depth",
+	"joiners",
+	"latency", "latency.count", "latency.max_ms", "latency.mean_ms",
+	"latency.p50_ms", "latency.p90_ms", "latency.p999_ms", "latency.p99_ms",
+	"max_event_ts_us",
+	"mode",
+	"overload", "overload.admission", "overload.admission_rejected",
+	"overload.admission_shed_probes", "overload.buffered_probes",
+	"overload.deadline_rejected", "overload.mem_cap_probes",
+	"overload.mem_pressure_level", "overload.mem_shed_probes",
+	"overload.nacks_dropped", "overload.request_deadline_ms",
+	"overload.sessions_active", "overload.slow_consumer_grace_ms",
+	"overload.slow_sessions_evicted", "overload.stall_parks",
+	"pending_requests",
+	"per_joiner", "per_joiner[].processed", "per_joiner[].queue_depth",
+	"per_joiner[].results", "per_joiner[].utilization",
+	"probes",
+	"requests",
+	"reschedules",
+	"results",
+	"runtime", "runtime.gc_goal_bytes", "runtime.gc_pause_p99_us",
+	"runtime.goroutines", "runtime.heap_inuse_bytes",
+	"served",
+	"slo", "slo.dimensions", "slo.dimensions[].breached",
+	"slo.dimensions[].name", "slo.dimensions[].threshold",
+	"slo.dimensions[].unit", "slo.dimensions[].value", "slo.epoch",
+	"slo.healthy", "slo.transitions", "slo.window_seconds",
+	"stage_allocs", "stage_allocs[].bytes", "stage_allocs[].objects",
+	"stage_allocs[].stage",
+	"timeline", "timeline.memory_bytes", "timeline.resolutions",
+	"timeline.series", "timeline.ticks",
+	"trace", "trace.active_spans", "trace.completed_spans",
+	"trace.dropped_spans", "trace.flight_dumps", "trace.flight_events",
+	"trace.sample_every",
+	"unbalancedness",
+	"uptime_seconds",
+	"wal_errors",
+	"wal_recovered_frames",
+	"wal_skipped_frames",
+	"wal_truncated_bytes",
+	"watermark_lag_us",
+	"watermark_us",
+}
+
+// jsonKeyPaths adds the key path of every object key below v to out.
+func jsonKeyPaths(prefix string, v any, out map[string]bool) {
+	switch v := v.(type) {
+	case map[string]any:
+		for k, child := range v {
+			p := k
+			if prefix != "" {
+				p = prefix + "." + k
+			}
+			out[p] = true
+			jsonKeyPaths(p, child, out)
+		}
+	case []any:
+		for _, child := range v {
+			jsonKeyPaths(prefix+"[]", child, out)
+		}
+	}
+}
+
+// TestStatuszKeyPaths pins /statusz's field set: a live document, decoded
+// without the Status type, has exactly the key paths listed above.
+// Sections that only some configurations emit (replication, profiling)
+// are not pinned here.
+func TestStatuszKeyPaths(t *testing.T) {
+	cfg := baseCfg()
+	cfg.AdminAddr = "127.0.0.1:0"
+	cfg.UtilEpoch = 5 * time.Millisecond
+	cfg.RequestDeadline = time.Minute
+	cfg.MemCapProbes = 1 << 20
+	cfg.SLOWatermarkLag = time.Hour
+	srv, addr := startServer(t, cfg)
+	base := "http://" + srv.AdminAddr().String()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 100; i++ {
+		c.SendProbe(uint64(i%7), int64(1000+i*10), 1)
+	}
+	c.SendBase(3, 2000, 0)
+	if err := c.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RecvResults(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	var doc map[string]any
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		doc = nil
+		if err := json.Unmarshal([]byte(scrape(t, base+"/statusz")), &doc); err != nil {
+			t.Fatal(err)
+		}
+		// The SLO block lists its dimensions once an epoch has scored it.
+		slo, _ := doc["slo"].(map[string]any)
+		if epoch, _ := slo["epoch"].(float64); epoch > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no SLO epoch scored")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	paths := map[string]bool{}
+	jsonKeyPaths("", doc, paths)
+	got := make([]string, 0, len(paths))
+	for p := range paths {
+		got = append(got, p)
+	}
+	slices.Sort(got)
+	want := slices.Clone(statuszKeyPaths)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		for _, p := range got {
+			if !slices.Contains(want, p) {
+				t.Errorf("/statusz has unlisted key path %q", p)
+			}
+		}
+		for _, p := range want {
+			if !slices.Contains(got, p) {
+				t.Errorf("/statusz lacks key path %q", p)
+			}
+		}
+		t.Logf("got:\n%s", strings.Join(got, "\n"))
+	}
 }

@@ -141,8 +141,7 @@ func TestBatchBoundariesKeepAnswers(t *testing.T) {
 // TestBatchQueueDepthCountsTuples: the funnel moves batches but counts
 // tuples. With the ingest loop wedged behind a client that never reads,
 // every probe a second client sends is one unit of oij_ingest_queue_depth
-// and /statusz ingest_queue_depth, and a full funnel drives the
-// controller's QueueFrac to exactly 1.
+// and /statusz ingest_queue_depth, up to a full funnel.
 func TestBatchQueueDepthCountsTuples(t *testing.T) {
 	cfg := tinyCfg(AdmissionBlock, time.Hour)
 	cfg.ingestBuffer = 64
@@ -210,14 +209,8 @@ func TestBatchQueueDepthCountsTuples(t *testing.T) {
 	// must still grow by 20.
 	send(20)
 	waitDepth(20)
-	if f := s.controlSignals(time.Now(), 0).QueueFrac; f >= 1 {
-		t.Fatalf("QueueFrac = %v with the funnel not full", f)
-	}
 	send(cfg.ingestBuffer)
 	waitDepth(cfg.ingestBuffer)
-	if f := s.controlSignals(time.Now(), 0).QueueFrac; f != 1 {
-		t.Fatalf("QueueFrac = %v with the funnel full, want 1", f)
-	}
 	slow.Close()
 }
 

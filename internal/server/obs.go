@@ -12,7 +12,6 @@ import (
 	"time"
 	"unsafe"
 
-	"oij/internal/control"
 	"oij/internal/engine"
 	"oij/internal/metrics"
 	"oij/internal/obs"
@@ -294,12 +293,6 @@ func newServerObs(s *Server, joiners int) *serverObs {
 		_, topK := o.hotBases.TopShare(hotKeysK)
 		return topK
 	})
-	reg.NewGaugeFunc("oij_active_joiners", "Joiners currently routed new work (controller-resized; equals the pool when static).", func() float64 {
-		return float64(s.activeJoiners())
-	})
-	reg.NewGaugeFunc("oij_admission_level", "Live admission ladder level: 0 block, 1 shed-probes, 2 reject.", func() float64 {
-		return float64(s.admission.Load())
-	})
 	if r := s.repl; r != nil {
 		o.replRefused = reg.NewCounter("oij_repl_refused_total", "Writes refused because this node is a replication standby or fenced.")
 		reg.NewGaugeFunc("oij_repl_role", "Replication role: 1 primary, 2 standby, 3 fenced.", func() float64 {
@@ -348,27 +341,6 @@ func newServerObs(s *Server, joiners int) *serverObs {
 			return 0
 		})
 	}
-	reg.NewGaugeFunc("oij_mem_soft_pct", "Soft memory-guard rung as a percent of MemCapProbes.", func() float64 {
-		return float64(s.memSoftPct.Load())
-	})
-	reg.NewGaugeFunc("oij_ctl_enabled", "1 while the adaptive controller is enabled.", func() float64 {
-		if s.ctl != nil {
-			return 1
-		}
-		return 0
-	})
-	reg.NewGaugeFunc("oij_ctl_decisions_total", "Controller decisions applied since startup.", func() float64 {
-		if s.ctl == nil {
-			return 0
-		}
-		return float64(s.ctl.Applied())
-	})
-	reg.NewGaugeFunc("oij_ctl_frozen", "1 while the controller is frozen (manual overrides still apply).", func() float64 {
-		if s.ctl != nil && s.ctl.Frozen() {
-			return 1
-		}
-		return 0
-	})
 	// The collector snapshots the instrument set, so every gauge above —
 	// including the SLO verdict and hot-key shares — becomes a timeline
 	// series; instruments must not be registered after this point.
@@ -429,11 +401,6 @@ func (s *Server) samplerLoop() {
 			s.o.vals = s.o.collector.Collect(elapsed, s.o.vals)
 			s.o.timeline.Record(now, s.o.vals)
 			s.slo.evaluate(now, epoch)
-			// The controller consumes the same epoch snapshot the SLO
-			// verdict was scored from, so its decisions and the health
-			// transitions they react to share one clock in the flight
-			// recorder.
-			s.controllerStep(now, epoch)
 		}
 	}
 }
@@ -485,7 +452,6 @@ type OverloadStatus struct {
 	Admission           string  `json:"admission"`
 	RequestDeadlineMs   float64 `json:"request_deadline_ms,omitempty"`
 	MemCapProbes        int64   `json:"mem_cap_probes,omitempty"`
-	MemSoftPct          int32   `json:"mem_soft_pct,omitempty"`
 	SlowGraceMs         float64 `json:"slow_consumer_grace_ms"`
 	ShedProbes          int64   `json:"admission_shed_probes"`
 	Rejected            int64   `json:"admission_rejected"`
@@ -533,18 +499,6 @@ type HotKeysStatus struct {
 	JoinerShard bool             `json:"joiner_sharded"`
 }
 
-// ControlStatus is the adaptive-controller block on /statusz: live knob
-// values plus the tail of the decision ring (/controlz has the full ring
-// and the policy document).
-type ControlStatus struct {
-	Frozen        bool               `json:"frozen"`
-	ActiveJoiners int                `json:"active_joiners"`
-	PoolJoiners   int                `json:"pool_joiners"`
-	Applied       uint64             `json:"applied_decisions"`
-	Suppressed    uint64             `json:"suppressed_decisions"`
-	Recent        []control.Decision `json:"recent_decisions,omitempty"`
-}
-
 // RuntimeStatus is the per-epoch runtime/metrics sample on /statusz.
 type RuntimeStatus struct {
 	Goroutines   int64   `json:"goroutines"`
@@ -576,7 +530,6 @@ type Status struct {
 	Algorithm        string             `json:"algorithm"`
 	Mode             string             `json:"mode"`
 	Joiners          int                `json:"joiners"`
-	ActiveJoiners    int                `json:"active_joiners"`
 	UptimeSeconds    float64            `json:"uptime_seconds"`
 	Served           int64              `json:"served"`
 	Probes           int64              `json:"probes"`
@@ -597,7 +550,6 @@ type Status struct {
 	Reschedules      *int64             `json:"reschedules,omitempty"`
 	Replication      *ReplStatus        `json:"replication,omitempty"`
 	Overload         OverloadStatus     `json:"overload"`
-	Control          *ControlStatus     `json:"control,omitempty"`
 	Trace            TraceStatus        `json:"trace"`
 	Runtime          RuntimeStatus      `json:"runtime"`
 	Profiling        *prof.Stats        `json:"profiling,omitempty"`
@@ -638,7 +590,6 @@ func (s *Server) Statusz() Status {
 		Algorithm:        s.cfg.Algorithm,
 		Mode:             s.cfg.Engine.Mode.String(),
 		Joiners:          joiners,
-		ActiveJoiners:    s.activeJoiners(),
 		UptimeSeconds:    time.Since(s.o.started).Seconds(),
 		Served:           s.served.Load(),
 		Probes:           s.o.probes.Load(),
@@ -666,10 +617,9 @@ func (s *Server) Statusz() Status {
 	}
 	out.Replication = s.replStatus()
 	out.Overload = OverloadStatus{
-		Admission:           control.AdmissionName(int(s.admission.Load())),
+		Admission:           s.cfg.Admission,
 		RequestDeadlineMs:   float64(s.cfg.RequestDeadline) / float64(time.Millisecond),
 		MemCapProbes:        s.cfg.MemCapProbes,
-		MemSoftPct:          s.memSoftPct.Load(),
 		SlowGraceMs:         float64(s.cfg.SlowConsumerGrace) / float64(time.Millisecond),
 		ShedProbes:          s.o.shedProbes.Load(),
 		Rejected:            s.o.rejected.Load(),
@@ -693,21 +643,6 @@ func (s *Server) Statusz() Status {
 		DroppedSpans:   s.tracer.Dropped(),
 		FlightEvents:   s.flight.Seq(),
 		FlightDumps:    s.flight.Dumps(),
-	}
-	if s.ctl != nil {
-		snap := s.ctl.Snapshot()
-		recent := snap.Decisions
-		if len(recent) > 8 {
-			recent = recent[:8]
-		}
-		out.Control = &ControlStatus{
-			Frozen:        snap.Frozen,
-			ActiveJoiners: s.activeJoiners(),
-			PoolJoiners:   joiners,
-			Applied:       snap.Applied,
-			Suppressed:    snap.Suppressed,
-			Recent:        recent,
-		}
 	}
 	out.Runtime = RuntimeStatus{
 		Goroutines:   s.o.rt.goroutines.Load(),

@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"oij/internal/control"
 	"oij/internal/engine"
 	"oij/internal/faultfs"
 	"oij/internal/harness"
@@ -163,13 +162,6 @@ type Config struct {
 	// an incident dump) whenever the un-acked suffix of the primary's log
 	// exceeds this many bytes.
 	MaxReplLag int64
-	// Control configures the adaptive self-tuning controller. When
-	// enabled, the engine's goroutine pool is sized to Control.MaxJoiners
-	// (Engine.Joiners becomes the boot *active* count) and the controller
-	// retunes active joiners, admission policy, trace sampling, and the
-	// soft memory watermark live from the sampler epoch loop. A zero value
-	// leaves every knob static, exactly as configured.
-	Control control.Config
 
 	// ingestBuffer and walSegmentBytes override the funnel depth and the
 	// WAL rotation threshold; tests shrink them to reach a full funnel or
@@ -237,33 +229,32 @@ const (
 	AdmissionReject     = "reject"
 )
 
-// parseAdmission validates an admission policy name.
-func parseAdmission(s string) (string, error) {
+// admission is the policy Config.Admission names, parsed once at boot.
+type admission uint8
+
+const (
+	admitBlock admission = iota
+	admitShedProbes
+	admitReject
+)
+
+// parseAdmission maps an admission policy name to its policy.
+func parseAdmission(s string) (admission, error) {
 	switch s {
-	case AdmissionBlock, AdmissionShedProbes, AdmissionReject:
-		return s, nil
+	case AdmissionBlock:
+		return admitBlock, nil
+	case AdmissionShedProbes:
+		return admitShedProbes, nil
+	case AdmissionReject:
+		return admitReject, nil
 	}
-	return "", fmt.Errorf("unknown admission policy %q (want %s, %s or %s)",
+	return 0, fmt.Errorf("unknown admission policy %q (want %s, %s or %s)",
 		s, AdmissionBlock, AdmissionShedProbes, AdmissionReject)
 }
 
-// defaultMemSoftPct is the boot soft memory-guard rung: the percent of
-// MemCapProbes at which old-half probe shedding starts (the historical
-// hard-coded 75%). The controller tightens it under sustained hard
-// pressure and restores it on recovery.
-const defaultMemSoftPct = 75
-
-// admissionLevelOf maps a policy name to its control ladder level.
-func admissionLevelOf(policy string) int {
-	switch policy {
-	case AdmissionShedProbes:
-		return control.AdmissionShed
-	case AdmissionReject:
-		return control.AdmissionReject
-	default:
-		return control.AdmissionBlock
-	}
-}
+// memSoftPct is the memory guard's soft rung: the percent of MemCapProbes
+// at which old-half probe shedding starts.
+const memSoftPct = 75
 
 // pendingBase routes a result back to its session.
 type pendingBase struct {
@@ -294,7 +285,6 @@ type ingestReq struct {
 type Server struct {
 	cfg Config
 	eng engine.Engine
-	rz  engine.Resizer // nil when the engine cannot retune its joiner count
 
 	ln net.Listener
 	// funnel carries every session's decoded frames, one batch per
@@ -327,18 +317,8 @@ type Server struct {
 	memLevel       atomic.Int32
 	retention      tuple.Time // probe relevance horizon in event time
 
-	// Live-tunable overload knobs. Sessions and the ingest loop read these
-	// per event; the controller (sampler goroutine) and /controlz overrides
-	// store them, so every knob the controller owns is an atomic rather
-	// than a cfg field. admission holds a control.Admission* level,
-	// memSoftPct the soft memory-guard rung as a percent of MemCapProbes,
-	// and resizeReq marshals a pending active-joiner target to the ingest
-	// loop (engines only allow Resize from the driver goroutine); 0 means
-	// no resize pending.
-	admission  atomic.Int32
-	memSoftPct atomic.Int32
-	resizeReq  atomic.Int32
-	ctl        *control.Controller
+	// admission is the policy applied to what a full funnel refuses.
+	admission admission
 
 	// repl is the replication state machine (nil when neither
 	// ReplListenAddr nor StandbyOf is configured: replication off costs
@@ -378,31 +358,16 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Engine.Validate(); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	if _, err := parseAdmission(cfg.Admission); err != nil {
+	policy, err := parseAdmission(cfg.Admission)
+	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	if cfg.SlowConsumerGrace < 0 || cfg.ReplLease < 0 {
 		return nil, fmt.Errorf("server: negative slow-consumer grace %s or replication lease %s", cfg.SlowConsumerGrace, cfg.ReplLease)
 	}
-	// With the controller enabled on a resizable engine, the goroutine
-	// pool is sized to the scaling ceiling up front (rings and workers are
-	// never added after Start); the configured joiner count becomes the
-	// boot *active* count and the engine is narrowed to it below, before
-	// any goroutine exists.
-	bootJoiners := cfg.Engine.Joiners
-	if cfg.Control.Enabled {
-		if cfg.Control.MaxJoiners <= 0 || cfg.Control.MaxJoiners < bootJoiners {
-			cfg.Control.MaxJoiners = bootJoiners
-		}
-		if cfg.Algorithm == harness.ScaleOIJ && cfg.Control.MaxJoiners > cfg.Engine.Joiners {
-			cfg.Engine.Joiners = cfg.Control.MaxJoiners
-			if err := cfg.Engine.Validate(); err != nil {
-				return nil, fmt.Errorf("server: controller pool: %w", err)
-			}
-		}
-	}
 	s := &Server{
 		cfg:         cfg,
+		admission:   policy,
 		funnel:      queue.NewMPSC[ingestReq](cfg.ingestBuffer),
 		emits:       make([]emitBatch, cfg.Engine.Joiners),
 		sessions:    map[*session]struct{}{},
@@ -418,45 +383,8 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.eng = eng
-	s.rz, _ = eng.(engine.Resizer)
 	s.retention = cfg.Engine.Window.Len() + cfg.Engine.Window.Lateness
 	s.slo = newSLOEvaluator(s)
-	s.admission.Store(int32(admissionLevelOf(cfg.Admission)))
-	s.memSoftPct.Store(defaultMemSoftPct)
-	if cfg.Control.Enabled {
-		// Narrow the pool to the boot active count before Start (no
-		// goroutines exist yet, so the driver-only rule is trivially
-		// met). An engine that cannot resize keeps its full pool and the
-		// controller runs without the joiner actuator — admission, trace,
-		// and memory rules still apply.
-		active := cfg.Engine.Joiners
-		var resize func(int) bool
-		if s.rz != nil && s.rz.Resize(bootJoiners) {
-			active = bootJoiners
-			resize = func(n int) bool {
-				// Marshal to the ingest loop: Resize is driver-only and
-				// the sampler goroutine is calling. The loop applies the
-				// newest pending target before its next unit of work.
-				s.resizeReq.Store(int32(n))
-				return true
-			}
-		}
-		cc := cfg.Control
-		if cc.P99Target == 0 {
-			cc.P99Target = cfg.SLOP99
-		}
-		s.ctl = control.New(cc, control.Boot{
-			Joiners:      active,
-			Admission:    admissionLevelOf(cfg.Admission),
-			TraceSampleN: cfg.TraceSampleN,
-			MemSoftPct:   defaultMemSoftPct,
-		}, control.Actuators{
-			ResizeJoiners:  resize,
-			SetAdmission:   func(l int) { s.admission.Store(int32(l)) },
-			SetTraceSample: func(n int) { s.tracer.SetSampleN(n) },
-			SetMemSoftPct:  func(p int) { s.memSoftPct.Store(int32(p)) },
-		}, s.flight)
-	}
 	if cfg.ReplListenAddr != "" || cfg.StandbyOf != "" {
 		if cfg.WALPath == "" {
 			return nil, errors.New("server: replication requires a WAL (set WALPath)")
@@ -655,7 +583,6 @@ func (s *Server) Serve(ln net.Listener) error {
 			obs.Endpoint{Path: "/debug/flightrecorder", Handler: s.serveFlightRecorder},
 			obs.Endpoint{Path: "/timeline", Handler: s.serveTimeline},
 			obs.Endpoint{Path: "/healthz", Handler: s.serveHealthz},
-			obs.Endpoint{Path: "/controlz", Handler: s.serveControlz},
 			obs.Endpoint{Path: "/profilez", Handler: s.serveProfilez},
 		)
 		if err != nil {
@@ -789,10 +716,10 @@ const ingestTake = 256
 
 // ingestLoop is the single goroutine allowed to call Engine.Ingest. It
 // takes the funnel's requests in batches and reads the clock once per
-// batch. Whenever it has ingested tuples and emptied the funnel it
-// heartbeats the engine, so the watermark covers every ingested tuple
-// before the loop blocks; under saturation the engine's own cadence
-// applies. The ticker beats both while the input is idle, so
+// batch. Whenever it has ingested tuples and then empties the funnel or
+// reaches a flush barrier, it heartbeats the engine, so the watermark
+// covers every ingested tuple before the loop blocks or a barrier is
+// acked; under saturation the engine's own cadence applies. The ticker beats both while the input is idle, so
 // watermark-mode windows keep finalizing without fresh tuples (a request
 // stream can go quiet with answers still pending), and between batches
 // while the funnel never empties, so the WAL's interval fsync keeps its
@@ -816,11 +743,16 @@ func (s *Server) ingestLoop() {
 				s.beat()
 			default:
 			}
-			s.applyResize()
 			n, left, done := s.funnel.Take(run)
 			if n > 0 {
 				now := time.Now()
 				for i := range run[:n] {
+					if run[i].flush && ingested {
+						// A barrier ack promises a watermark that
+						// covers every tuple sent before it.
+						s.eng.Heartbeat()
+						ingested = false
+					}
 					ingested = s.ingestOne(&run[i], now) || ingested
 				}
 				clear(run[:n])
@@ -838,26 +770,15 @@ func (s *Server) ingestLoop() {
 	}
 }
 
-// beat is the ingest loop's periodic tick: it applies a pending resize,
-// heartbeats the engine and pushes the WAL's buffered frames to the OS
-// (fsyncing them in the default "interval" sync mode).
+// beat is the ingest loop's periodic tick: it heartbeats the engine and
+// pushes the WAL's buffered frames to the OS (fsyncing them in the default
+// "interval" sync mode).
 func (s *Server) beat() {
-	s.applyResize()
 	s.eng.Heartbeat()
 	if s.wal != nil {
 		if err := s.wal.Heartbeat(); err != nil {
 			s.walErrs.Add(1)
 		}
-	}
-}
-
-// applyResize applies a pending live resize before the next batch: engines
-// allow Resize only from the driver goroutine, and the ingest loop is the
-// driver. Swap-to-zero keeps only the newest target when the controller
-// outpaces the loop.
-func (s *Server) applyResize() {
-	if n := s.resizeReq.Swap(0); n != 0 && s.rz != nil {
-		s.rz.Resize(int(n))
 	}
 }
 
@@ -956,8 +877,7 @@ func (s *Server) bufferedProbes() int64 {
 // memGuardSheds is the memory watermark guard: it decides, per incoming
 // probe, whether the tuple is shed to keep buffered state under
 // MemCapProbes. Degradation is tiered — above the soft rung (memSoftPct
-// percent of the cap, boot 75%, tightened live by the controller) only
-// probes already in the oldest half of the retention horizon are shed
+// percent of the cap) only probes already in the oldest half of the retention horizon are shed
 // (they expire soonest and contribute to the fewest future windows); at
 // the cap every probe is shed until eviction catches up.
 func (s *Server) memGuardSheds(ts tuple.Time) bool {
@@ -971,7 +891,7 @@ func (s *Server) memGuardSheds(ts tuple.Time) bool {
 		s.setMemLevel(2, buffered)
 		s.o.memShedProbes.Inc()
 		return true
-	case buffered >= memCap*int64(s.memSoftPct.Load())/100:
+	case buffered >= memCap*memSoftPct/100:
 		s.setMemLevel(1, buffered)
 		// MinTime (no event time yet, or an engine that tracks none) would
 		// overflow the subtraction and shed every probe.
@@ -1333,13 +1253,10 @@ func (se *session) admit() {
 // that does not fit is dropped and counted; under "reject" each request
 // that does not fit is answered with an overload NACK so the client can
 // fail fast, while under "shed-probes" requests wait (requests are the
-// product, probes are the fuel). Flush barriers always wait. The policy
-// is read from the live atomic, so the controller's ladder steps take
-// effect on the very next batch.
+// product, probes are the fuel). Flush barriers always wait.
 func (se *session) overflow(rest []ingestReq) {
 	s := se.s
-	policy := s.admission.Load()
-	if policy == control.AdmissionBlock {
+	if s.admission == admitBlock {
 		s.funnel.PutAll(rest, nil)
 		return
 	}
@@ -1353,7 +1270,7 @@ func (se *session) overflow(rest []ingestReq) {
 			s.o.shedProbes.Inc()
 			s.flight.Record(trace.CompAdmission, trace.EvAdmissionShed,
 				uint64(s.o.shedProbes.Load()), 0)
-		case policy == control.AdmissionReject && !req.flush:
+		case s.admission == admitReject && !req.flush:
 			s.o.rejected.Inc()
 			s.flight.Record(trace.CompAdmission, trace.EvAdmissionReject,
 				uint64(s.o.rejected.Load()), 0)

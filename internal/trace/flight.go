@@ -28,7 +28,6 @@ const (
 	CompWAL
 	CompBreaker
 	CompSLO
-	CompControl
 	CompRepl
 	CompProf
 	numComponents
@@ -36,7 +35,7 @@ const (
 
 var componentNames = [numComponents]string{
 	"watermark", "epoch", "admission", "memory",
-	"session", "stall", "wal", "breaker", "slo", "control", "repl", "prof",
+	"session", "stall", "wal", "breaker", "slo", "repl", "prof",
 }
 
 // String returns the component's export name.
@@ -65,14 +64,13 @@ const (
 	EvBreakerClosed                         //
 	EvSLOUnhealthy                          // a=breached-dimension bitmask, b=epoch index
 	EvSLORecovered                          // a=unhealthy duration (ns), b=epoch index
-	EvCtlDecision                           // a=rule id, b=old<<32|new (actuator values)
-	EvCtlFreeze                             // a=1 frozen / 0 unfrozen, b=epoch index
 	EvReplConnect                           // a=peer slot position, b=local commit
 	EvReplCaughtUp                          // a=applied slot, b=commit slot
 	EvReplLagExceeded                       // a=lag bytes, b=configured max
 	EvReplPromote                           // a=new epoch, b=applied slot at promotion
 	EvReplFenced                            // a=fencing epoch, b=own (superseded) epoch
 	EvProfCapture                           // a=profile ring seq, b=profile bytes
+	numEventKinds
 )
 
 var eventKindNames = map[EventKind]string{
@@ -94,8 +92,6 @@ var eventKindNames = map[EventKind]string{
 	EvBreakerClosed:    "breaker_closed",
 	EvSLOUnhealthy:     "slo_unhealthy",
 	EvSLORecovered:     "slo_recovered",
-	EvCtlDecision:      "ctl_decision",
-	EvCtlFreeze:        "ctl_freeze",
 	EvReplConnect:      "repl_connect",
 	EvReplCaughtUp:     "repl_caught_up",
 	EvReplLagExceeded:  "repl_lag_exceeded",

@@ -168,3 +168,32 @@ func TestFlightWriteJSONEmpty(t *testing.T) {
 		t.Fatalf("empty doc events = %#v", doc.Events)
 	}
 }
+
+// TestFlightNamesComplete: every component and event kind exports a
+// non-empty name of its own. componentNames is a fixed-size array, so a
+// component dropped from the enum without its name leaves the last slot
+// empty and shifts every later name by one.
+func TestFlightNamesComplete(t *testing.T) {
+	seen := map[string]bool{}
+	for c := Component(0); c < numComponents; c++ {
+		name := c.String()
+		if name == "" || name == "unknown" || seen[name] {
+			t.Errorf("component %d has name %q (empty, unknown or repeated)", c, name)
+		}
+		seen[name] = true
+	}
+	if CompRepl.String() != "repl" || CompProf.String() != "prof" {
+		t.Errorf("repl/prof components export %q/%q", CompRepl, CompProf)
+	}
+	seen = map[string]bool{}
+	for k := EventKind(1); k < numEventKinds; k++ {
+		name := k.String()
+		if name == "" || name == "unknown" || seen[name] {
+			t.Errorf("event kind %d has name %q (empty, unknown or repeated)", k, name)
+		}
+		seen[name] = true
+	}
+	if len(eventKindNames) != int(numEventKinds)-1 {
+		t.Errorf("eventKindNames has %d entries, want %d", len(eventKindNames), numEventKinds-1)
+	}
+}

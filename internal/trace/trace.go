@@ -188,7 +188,7 @@ func (sp *Span) snap() SpanSnap {
 // the active-span map (keyed by engine-global base sequence, how joiners
 // find their span), and a bounded ring of completed spans for /tracez.
 type Tracer struct {
-	sampleN atomic.Uint64 // live-adjustable (controller under pressure)
+	sampleN uint64 // 0 disables sampling
 	counter atomic.Uint64
 	active  sync.Map // engine seq -> *Span
 	nActive atomic.Int64
@@ -209,33 +209,20 @@ func NewTracer(sampleN, ringSize int) *Tracer {
 	}
 	t := &Tracer{ring: make([]*Span, 0, ringSize)}
 	if sampleN > 0 {
-		t.sampleN.Store(uint64(sampleN))
+		t.sampleN = uint64(sampleN)
 	}
 	return t
 }
 
 // Enabled reports whether any request can be sampled. Nil-safe.
-func (t *Tracer) Enabled() bool { return t != nil && t.sampleN.Load() > 0 }
+func (t *Tracer) Enabled() bool { return t != nil && t.sampleN > 0 }
 
 // SampleN returns the current 1-in-N rate (0 when disabled).
 func (t *Tracer) SampleN() int {
 	if t == nil {
 		return 0
 	}
-	return int(t.sampleN.Load())
-}
-
-// SetSampleN retunes the 1-in-N rate live (the controller coarsens
-// sampling under pressure and restores it on recovery). n <= 0 disables
-// sampling. Safe from any goroutine; in-flight spans finish normally.
-func (t *Tracer) SetSampleN(n int) {
-	if t == nil {
-		return
-	}
-	if n < 0 {
-		n = 0
-	}
-	t.sampleN.Store(uint64(n))
+	return int(t.sampleN)
 }
 
 // Sample decides whether the next admitted request is traced: true for
@@ -245,7 +232,7 @@ func (t *Tracer) Sample() bool {
 	if t == nil {
 		return false
 	}
-	n := t.sampleN.Load()
+	n := t.sampleN
 	if n == 0 {
 		return false
 	}
