@@ -10,8 +10,8 @@ import (
 
 // Admin is the observability HTTP endpoint of a running daemon. It serves
 //
-//	/metrics       Prometheus text exposition of a Registry
-//	/statusz       JSON snapshot produced by the status callback
+//	/metrics       Prometheus text exposition of a family table
+//	/statusz       JSON encoding of the same snapshot type
 //	/debug/pprof/  the standard Go profiling handlers
 //
 // plus any extra endpoints the caller registers (the server adds /tracez
@@ -29,25 +29,26 @@ type Endpoint struct {
 }
 
 // ServeAdmin binds addr (use ":0" for an ephemeral port) and serves the
-// admin endpoints in a background goroutine. status is invoked per
-// /statusz request and must be safe from any goroutine; nil disables the
-// endpoint.
-func ServeAdmin(addr string, reg *Registry, status func() any, extra ...Endpoint) (*Admin, error) {
+// admin endpoints in a background goroutine. snapshot is invoked once per
+// /metrics or /statusz request and must be safe from any goroutine:
+// /metrics renders fams over its result, /statusz encodes it as JSON, so
+// every document is one point-in-time view. nil disables both endpoints.
+func ServeAdmin[S any](addr string, snapshot func() *S, fams []Family[S], extra ...Endpoint) (*Admin, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
-	})
-	if status != nil {
+	if snapshot != nil {
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			WritePrometheus(w, fams, snapshot())
+		})
 		mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
-			enc.Encode(status())
+			enc.Encode(snapshot())
 		})
 	}
 	for _, e := range extra {

@@ -26,13 +26,15 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 func TestAdminEndpoints(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.NewCounter("oij_demo_total", "demo")
+	var c Counter
 	c.Add(11)
 	type status struct {
 		Uptime float64 `json:"uptime"`
+		Demo   int64   `json:"-"`
 	}
-	a, err := ServeAdmin("127.0.0.1:0", reg, func() any { return status{Uptime: 1.25} })
+	fams := []Family[status]{{Name: "oij_demo_total", Help: "demo", Kind: KindCounter,
+		Value: func(s *status) float64 { return float64(s.Demo) }}}
+	a, err := ServeAdmin("127.0.0.1:0", func() *status { return &status{Uptime: 1.25, Demo: c.Load()} }, fams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestAdminEndpoints(t *testing.T) {
 }
 
 func TestAdminNoStatus(t *testing.T) {
-	a, err := ServeAdmin("127.0.0.1:0", NewRegistry(), nil)
+	a, err := ServeAdmin[struct{}]("127.0.0.1:0", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

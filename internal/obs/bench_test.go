@@ -5,47 +5,70 @@ import (
 	"testing"
 )
 
-// buildScrapeRegistry populates a registry shaped like a real oijd serving
-// 8 joiners: the instrument mix mirrors newServerObs (counters, sharded
-// gauges, gauge funcs, a sharded latency histogram with recorded samples).
-func buildScrapeRegistry(joiners int) *Registry {
-	r := NewRegistry()
-	r.NewInfo("oij_build_info", "build identity", [][2]string{{"version", "bench"}, {"go", "test"}})
-	probes := r.NewCounterVec("oij_probes_total", "probe tuples ingested", joiners)
-	bases := r.NewCounterVec("oij_bases_total", "base tuples ingested", joiners)
-	results := r.NewCounterVec("oij_results_total", "join results emitted", joiners)
-	depth := r.NewGaugeVec("oij_queue_depth", "per-joiner queue depth", joiners)
-	r.NewGaugeVec("oij_watermark_lag_seconds", "watermark lag", joiners)
-	r.NewGaugeFunc("oij_uptime_seconds", "process uptime", func() float64 { return 42.5 })
-	util := r.NewGaugeVec("oij_joiner_utilization", "fraction of epoch spent joining", joiners)
-	lat := r.NewHistogramVec("oij_probe_latency_seconds", "probe latency", joiners)
+// scrapeSnap is a snapshot shaped like a real oijd serving 8 joiners:
+// counters, per-joiner gauges, a scalar gauge, an info family and a
+// merged latency histogram with recorded samples.
+type scrapeSnap struct {
+	probes, bases, results []int64
+	depth, lag, util       []float64
+	uptime                 float64
+	latency                *HistSnapshot
+}
+
+var scrapeBuildLabels = [][2]string{{"version", "bench"}, {"go", "test"}}
+
+// scrapeFamilies mirrors the family mix of the server's table.
+func scrapeFamilies() []Family[scrapeSnap] {
+	ints := func(f func(*scrapeSnap) []int64) func(*scrapeSnap, int) (float64, bool) {
+		return func(s *scrapeSnap, i int) (float64, bool) { return shardOf(f(s), i) }
+	}
+	floats := func(f func(*scrapeSnap) []float64) func(*scrapeSnap, int) (float64, bool) {
+		return func(s *scrapeSnap, i int) (float64, bool) { return shardOf(f(s), i) }
+	}
+	return []Family[scrapeSnap]{
+		{Name: "oij_build_info", Help: "build identity", Kind: KindInfo, Labels: func(*scrapeSnap) [][2]string { return scrapeBuildLabels }},
+		{Name: "oij_probes_total", Help: "probe tuples ingested", Kind: KindCounter, Shard: ints(func(s *scrapeSnap) []int64 { return s.probes })},
+		{Name: "oij_bases_total", Help: "base tuples ingested", Kind: KindCounter, Shard: ints(func(s *scrapeSnap) []int64 { return s.bases })},
+		{Name: "oij_results_total", Help: "join results emitted", Kind: KindCounter, Shard: ints(func(s *scrapeSnap) []int64 { return s.results })},
+		{Name: "oij_queue_depth", Help: "per-joiner queue depth", Kind: KindGauge, Shard: floats(func(s *scrapeSnap) []float64 { return s.depth })},
+		{Name: "oij_watermark_lag_seconds", Help: "watermark lag", Kind: KindGauge, Shard: floats(func(s *scrapeSnap) []float64 { return s.lag })},
+		{Name: "oij_joiner_utilization", Help: "fraction of epoch spent joining", Kind: KindGauge, Shard: floats(func(s *scrapeSnap) []float64 { return s.util })},
+		{Name: "oij_uptime_seconds", Help: "process uptime", Kind: KindGauge, Value: func(s *scrapeSnap) float64 { return s.uptime }},
+		{Name: "oij_probe_latency_seconds", Help: "probe latency", Kind: KindSummary, Hist: func(s *scrapeSnap) *HistSnapshot { return s.latency }},
+	}
+}
+
+func buildScrapeSnap(joiners int) *scrapeSnap {
+	s := &scrapeSnap{uptime: 42.5, lag: make([]float64, joiners)}
+	lat := NewHistogramVec(joiners)
 	for i := 0; i < joiners; i++ {
-		probes.Shard(i).Add(int64(1000 * (i + 1)))
-		bases.Shard(i).Add(int64(500 * (i + 1)))
-		results.Shard(i).Add(int64(250 * (i + 1)))
-		depth.Shard(i).Set(float64(i * 3))
-		util.Shard(i).Set(float64(i) / float64(joiners))
+		s.probes = append(s.probes, int64(1000*(i+1)))
+		s.bases = append(s.bases, int64(500*(i+1)))
+		s.results = append(s.results, int64(250*(i+1)))
+		s.depth = append(s.depth, float64(i*3))
+		s.util = append(s.util, float64(i)/float64(joiners))
 		h := lat.Shard(i)
 		for v := int64(1); v < 4096; v += 17 {
 			h.Observe(v * 1000)
 		}
 	}
-	return r
+	s.latency = lat.Snapshot()
+	return s
 }
 
 // BenchmarkScrape measures one /metrics render. The encoder builds the
 // document in a pooled buffer with strconv appends, so steady-state
-// allocs/op stays flat no matter how many instruments or shards exist.
+// allocs/op stays flat no matter how many families or shards exist.
 func BenchmarkScrape(b *testing.B) {
-	r := buildScrapeRegistry(8)
+	fams, s := scrapeFamilies(), buildScrapeSnap(8)
 	// Warm the pool so the first-iteration buffer growth is not billed.
-	if err := r.WritePrometheus(io.Discard); err != nil {
+	if err := WritePrometheus(io.Discard, fams, s); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := r.WritePrometheus(io.Discard); err != nil {
+		if err := WritePrometheus(io.Discard, fams, s); err != nil {
 			b.Fatal(err)
 		}
 	}

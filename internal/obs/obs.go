@@ -1,7 +1,8 @@
 // Package obs is the live observability layer: lock-free per-joiner
 // instruments (padded atomic counters and gauges, streaming histograms), a
-// registry that snapshots them without stopping joiners, and an admin HTTP
-// server exposing Prometheus text metrics, a JSON statusz, and pprof.
+// Prometheus encoder and a timeline collector that both render a table of
+// metric families over one caller-built snapshot, and an admin HTTP server
+// exposing Prometheus text metrics, a JSON statusz, and pprof.
 //
 // The hot-path contract mirrors the engines' SWMR discipline: every
 // instrument is sharded per joiner, exactly one goroutine writes a shard,
@@ -11,11 +12,9 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -50,11 +49,11 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Load returns the current value.
 func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// CounterVec is a named family of per-shard counters.
-type CounterVec struct {
-	name, help string
-	shards     []Counter
-}
+// CounterVec is a family of per-shard counters.
+type CounterVec struct{ shards []Counter }
+
+// NewCounterVec builds a counter family with the given shard count.
+func NewCounterVec(shards int) CounterVec { return CounterVec{make([]Counter, shards)} }
 
 // Shard returns shard i; only that shard's owning goroutine should write
 // it, though writes are atomic so violating that only costs cache traffic.
@@ -78,11 +77,11 @@ func (v *CounterVec) Values() []int64 {
 	return out
 }
 
-// GaugeVec is a named family of per-shard gauges.
-type GaugeVec struct {
-	name, help string
-	shards     []Gauge
-}
+// GaugeVec is a family of per-shard gauges.
+type GaugeVec struct{ shards []Gauge }
+
+// NewGaugeVec builds a gauge family with the given shard count.
+func NewGaugeVec(shards int) GaugeVec { return GaugeVec{make([]Gauge, shards)} }
 
 // Shard returns gauge i.
 func (v *GaugeVec) Shard(i int) *Gauge { return &v.shards[i] }
@@ -96,16 +95,12 @@ func (v *GaugeVec) Values() []float64 {
 	return out
 }
 
-// HistogramVec is a named family of per-shard streaming histograms.
-// Values are recorded in nanoseconds and rendered to Prometheus in
-// seconds.
-type HistogramVec struct {
-	name, help string
-	shards     []Histogram
-}
+// HistogramVec is a family of per-shard streaming histograms of
+// nanosecond values.
+type HistogramVec struct{ shards []Histogram }
 
-// nsPerSecond converts recorded nanoseconds to rendered seconds.
-const nsPerSecond = 1e9
+// NewHistogramVec builds a histogram family with the given shard count.
+func NewHistogramVec(shards int) HistogramVec { return HistogramVec{make([]Histogram, shards)} }
 
 // Shard returns histogram i (single writer per shard).
 func (v *HistogramVec) Shard(i int) *Histogram { return &v.shards[i] }
@@ -119,221 +114,123 @@ func (v *HistogramVec) Snapshot() *HistSnapshot {
 	return s
 }
 
-// infoMetric is the Prometheus info idiom: a constant gauge of 1 whose
-// labels carry build/identity strings (git revision, Go version), so
-// scrape artifacts are attributable to the exact binary that produced them.
-type infoMetric struct {
-	name, help string
-	labels     string // pre-rendered {k="v",...} — constant, so escaped once
+// Kind is a family's Prometheus type.
+type Kind uint8
+
+const (
+	KindCounter Kind = iota // integer samples
+	KindGauge               // float samples
+	KindSummary             // a nanosecond histogram rendered in seconds
+	KindInfo                // constant 1 carrying identity labels
+)
+
+var kindNames = [...]string{KindCounter: "counter", KindGauge: "gauge", KindSummary: "summary", KindInfo: "gauge"}
+
+// Family declares one metric family and how to read it from a snapshot of
+// type S. Exactly one reader is set: Value for one sample, Shard for a
+// per-joiner family, Hist for a summary, Labels for an info family.
+type Family[S any] struct {
+	Name, Help string
+	Kind       Kind
+	Value      func(*S) float64
+	// Shard returns joiner i's sample, false past the last joiner.
+	Shard  func(s *S, i int) (float64, bool)
+	Hist   func(*S) *HistSnapshot
+	Labels func(*S) [][2]string
 }
 
-// gaugeFunc reads its value at scrape time — for state that already lives
-// in engine atomics (queue depths, watermarks) and needs no second copy.
-type gaugeFunc struct {
-	name, help string
-	fn         func() float64
-}
-
-// gaugeVecFunc is the per-shard variant of gaugeFunc.
-type gaugeVecFunc struct {
-	name, help string
-	fn         func() []float64
-}
-
-// Registry holds the instrument families of one process. Registration
-// takes a lock; recording and scraping never do (scrapes read atomics).
-type Registry struct {
-	mu       sync.Mutex
-	counters []*CounterVec
-	gauges   []*GaugeVec
-	gfns     []*gaugeFunc
-	gvfns    []*gaugeVecFunc
-	hists    []*HistogramVec
-	infos    []*infoMetric
-}
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
+// nsPerSecond converts recorded nanoseconds to rendered seconds.
+const nsPerSecond = 1e9
 
 // summaryQuantiles are the summary quantiles rendered for histograms,
 // ascending — the grid the paper's CDF figures read off (§III-B).
 var summaryQuantiles = []float64{0.5, 0.9, 0.99, 0.999}
 
-// NewCounterVec registers a counter family with the given shard count.
-func (r *Registry) NewCounterVec(name, help string, shards int) *CounterVec {
-	v := &CounterVec{name: name, help: help, shards: make([]Counter, shards)}
-	r.mu.Lock()
-	r.counters = append(r.counters, v)
-	r.mu.Unlock()
-	return v
-}
+var scrapePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// NewCounter registers a single-shard counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	return r.NewCounterVec(name, help, 1).Shard(0)
-}
-
-// NewGaugeVec registers a gauge family with the given shard count.
-func (r *Registry) NewGaugeVec(name, help string, shards int) *GaugeVec {
-	v := &GaugeVec{name: name, help: help, shards: make([]Gauge, shards)}
-	r.mu.Lock()
-	r.gauges = append(r.gauges, v)
-	r.mu.Unlock()
-	return v
-}
-
-// NewGaugeFunc registers a gauge evaluated at scrape time. fn must be safe
-// to call from any goroutine.
-func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
-	r.mu.Lock()
-	r.gfns = append(r.gfns, &gaugeFunc{name, help, fn})
-	r.mu.Unlock()
-}
-
-// NewGaugeVecFunc registers a per-shard gauge family evaluated at scrape
-// time; fn returns one value per shard and must be safe from any goroutine.
-func (r *Registry) NewGaugeVecFunc(name, help string, fn func() []float64) {
-	r.mu.Lock()
-	r.gvfns = append(r.gvfns, &gaugeVecFunc{name, help, fn})
-	r.mu.Unlock()
-}
-
-// NewInfo registers an info metric: a constant 1 carrying identity labels
-// (the Prometheus <name>_info idiom). Label values are escaped on output.
-func (r *Registry) NewInfo(name, help string, labels [][2]string) {
-	r.mu.Lock()
-	r.infos = append(r.infos, &infoMetric{name: name, help: help, labels: renderLabels(labels)})
-	r.mu.Unlock()
-}
-
-// NewHistogramVec registers a histogram family of nanosecond values.
-func (r *Registry) NewHistogramVec(name, help string, shards int) *HistogramVec {
-	v := &HistogramVec{name: name, help: help, shards: make([]Histogram, shards)}
-	r.mu.Lock()
-	r.hists = append(r.hists, v)
-	r.mu.Unlock()
-	return v
-}
-
-// scrapeBuf is the reusable per-scrape working set: the output buffer and
-// a histogram merge scratch, pooled so a scrape costs no steady-state
-// allocations beyond what gauge-func callbacks themselves allocate (see
-// BenchmarkScrape for the measured allocs/op).
-type scrapeBuf struct {
-	b    []byte
-	hist HistSnapshot
-}
-
-var scrapePool = sync.Pool{New: func() any { return &scrapeBuf{b: make([]byte, 0, 4096)} }}
-
-// WritePrometheus renders every registered instrument in the Prometheus
-// text exposition format (version 0.0.4). Multi-shard families get a
-// {joiner="i"} label per shard; histograms render as summaries. The
-// encoder builds the whole document in a pooled buffer and writes it once
-// — one syscall per scrape, no per-line formatting allocations. The
-// registry lock is held while encoding; registration is startup-only, so
-// this never contends with anything but another scrape.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	sb := scrapePool.Get().(*scrapeBuf)
-	b := sb.b[:0]
-
-	r.mu.Lock()
-	for _, m := range r.infos {
-		b = appendHeader(b, m.name, m.help, "gauge")
-		b = append(b, m.name...)
-		b = append(b, m.labels...)
-		b = append(b, " 1\n"...)
-	}
-	for _, v := range r.counters {
-		b = appendHeader(b, v.name, v.help, "counter")
-		if len(v.shards) == 1 {
-			b = append(b, v.name...)
+// WritePrometheus renders fams over the snapshot s in the Prometheus text
+// exposition format (version 0.0.4). Per-joiner families get a
+// {joiner="i"} label per sample. The encoder builds the whole document in
+// a pooled buffer with strconv appends and writes it once — one syscall
+// per scrape, no per-line formatting allocations.
+func WritePrometheus[S any](w io.Writer, fams []Family[S], s *S) error {
+	bp := scrapePool.Get().(*[]byte)
+	b := (*bp)[:0]
+	for i := range fams {
+		f := &fams[i]
+		b = appendHeader(b, f.Name, f.Help, kindNames[f.Kind])
+		switch {
+		case f.Labels != nil:
+			b = append(b, f.Name...)
+			sep := byte('{')
+			for _, kv := range f.Labels(s) {
+				b = append(b, sep)
+				sep = ','
+				b = append(b, kv[0]...)
+				b = append(b, '=')
+				// Go quoting escapes backslash, quote, and newline
+				// exactly as the exposition format requires.
+				b = strconv.AppendQuote(b, kv[1])
+			}
+			if sep == ',' {
+				b = append(b, '}')
+			}
+			b = append(b, " 1\n"...)
+		case f.Hist != nil:
+			h := f.Hist(s)
+			for _, q := range summaryQuantiles {
+				b = append(b, f.Name...)
+				b = append(b, `{quantile="`...)
+				b = appendFloat(b, q)
+				b = append(b, `"} `...)
+				b = appendFloat(b, float64(h.Quantile(q))/nsPerSecond)
+				b = append(b, '\n')
+			}
+			b = append(b, f.Name...)
+			b = append(b, "_sum "...)
+			b = appendFloat(b, float64(h.Sum)/nsPerSecond)
+			b = append(b, '\n')
+			b = append(b, f.Name...)
+			b = append(b, "_count "...)
+			b = strconv.AppendInt(b, h.N, 10)
+			b = append(b, '\n')
+		case f.Shard != nil:
+			for j := 0; ; j++ {
+				v, ok := f.Shard(s, j)
+				if !ok {
+					break
+				}
+				b = append(b, f.Name...)
+				b = append(b, `{joiner="`...)
+				b = strconv.AppendInt(b, int64(j), 10)
+				b = append(b, `"} `...)
+				b = f.Kind.appendValue(b, v)
+			}
+		default:
+			b = append(b, f.Name...)
 			b = append(b, ' ')
-			b = strconv.AppendInt(b, v.shards[0].Load(), 10)
-			b = append(b, '\n')
-			continue
-		}
-		for i := range v.shards {
-			b = appendShardLabel(b, v.name, i)
-			b = strconv.AppendInt(b, v.shards[i].Load(), 10)
-			b = append(b, '\n')
+			b = f.Kind.appendValue(b, f.Value(s))
 		}
 	}
-	for _, v := range r.gauges {
-		b = appendHeader(b, v.name, v.help, "gauge")
-		if len(v.shards) == 1 {
-			b = append(b, v.name...)
-			b = append(b, ' ')
-			b = appendFloat(b, v.shards[0].Load())
-			b = append(b, '\n')
-			continue
-		}
-		for i := range v.shards {
-			b = appendShardLabel(b, v.name, i)
-			b = appendFloat(b, v.shards[i].Load())
-			b = append(b, '\n')
-		}
-	}
-	for _, g := range r.gfns {
-		b = appendHeader(b, g.name, g.help, "gauge")
-		b = append(b, g.name...)
-		b = append(b, ' ')
-		b = appendFloat(b, g.fn())
-		b = append(b, '\n')
-	}
-	for _, g := range r.gvfns {
-		b = appendHeader(b, g.name, g.help, "gauge")
-		for i, val := range g.fn() {
-			b = appendShardLabel(b, g.name, i)
-			b = appendFloat(b, val)
-			b = append(b, '\n')
-		}
-	}
-	for _, v := range r.hists {
-		b = appendHeader(b, v.name, v.help, "summary")
-		s := &sb.hist
-		*s = HistSnapshot{}
-		for i := range v.shards {
-			s.Merge(&v.shards[i])
-		}
-		for _, q := range summaryQuantiles {
-			b = append(b, v.name...)
-			b = append(b, `{quantile="`...)
-			b = appendFloat(b, q)
-			b = append(b, `"} `...)
-			b = appendFloat(b, float64(s.Quantile(q))/nsPerSecond)
-			b = append(b, '\n')
-		}
-		b = append(b, v.name...)
-		b = append(b, "_sum "...)
-		b = appendFloat(b, float64(s.Sum)/nsPerSecond)
-		b = append(b, '\n')
-		b = append(b, v.name...)
-		b = append(b, "_count "...)
-		b = strconv.AppendInt(b, s.N, 10)
-		b = append(b, '\n')
-	}
-	r.mu.Unlock()
-
 	_, err := w.Write(b)
-	sb.b = b
-	scrapePool.Put(sb)
+	*bp = b
+	scrapePool.Put(bp)
 	return err
 }
 
-// appendFloat renders a float exactly as fmt's %g (shortest unique
-// representation) without the fmt allocation.
-func appendFloat(b []byte, v float64) []byte {
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
+// appendValue renders one sample value and its newline: counters as
+// integers, gauges exactly as fmt's %g (shortest unique representation).
+func (k Kind) appendValue(b []byte, v float64) []byte {
+	if k == KindCounter {
+		b = strconv.AppendInt(b, int64(v), 10)
+	} else {
+		b = appendFloat(b, v)
+	}
+	return append(b, '\n')
 }
 
-// appendShardLabel appends `name{joiner="i"} `.
-func appendShardLabel(b []byte, name string, i int) []byte {
-	b = append(b, name...)
-	b = append(b, `{joiner="`...)
-	b = strconv.AppendInt(b, int64(i), 10)
-	b = append(b, `"} `...)
-	return b
+func appendFloat(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 func appendHeader(b []byte, name, help, typ string) []byte {
@@ -350,24 +247,4 @@ func appendHeader(b []byte, name, help, typ string) []byte {
 	b = append(b, typ...)
 	b = append(b, '\n')
 	return b
-}
-
-// renderLabels formats a label set as {k="v",...}, escaping values per the
-// exposition format ("" for an empty set).
-func renderLabels(labels [][2]string) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, kv := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		// %q escapes backslash, quote, and newline exactly as the
-		// exposition format requires.
-		fmt.Fprintf(&b, "%s=%q", kv[0], kv[1])
-	}
-	b.WriteByte('}')
-	return b.String()
 }

@@ -231,15 +231,14 @@ func TestHistogramConcurrentSnapshot(t *testing.T) {
 }
 
 func TestCounterGaugeVecs(t *testing.T) {
-	r := NewRegistry()
-	c := r.NewCounterVec("test_counter", "h", 3)
+	c := NewCounterVec(3)
 	c.Shard(0).Add(5)
 	c.Shard(1).Inc()
 	c.Shard(2).Add(4)
 	if c.Total() != 10 {
 		t.Fatalf("total = %d", c.Total())
 	}
-	g := r.NewGaugeVec("test_gauge", "h", 2)
+	g := NewGaugeVec(2)
 	g.Shard(0).Set(0.25)
 	g.Shard(1).Set(-1)
 	vs := g.Values()
@@ -248,16 +247,33 @@ func TestCounterGaugeVecs(t *testing.T) {
 	}
 }
 
+// instruments is a test snapshot source: the families below read the
+// live instruments directly, so a scrape races the writers.
+type instruments struct {
+	c CounterVec
+	g GaugeVec
+	h HistogramVec
+}
+
+// shardOf reads sample i of a per-shard slice, false past the end.
+func shardOf[T int64 | float64](vs []T, i int) (float64, bool) {
+	if i >= len(vs) {
+		return 0, false
+	}
+	return float64(vs[i]), true
+}
+
 // TestInstrumentsConcurrent hammers shard-local writes with a concurrent
 // scraper under -race.
 func TestInstrumentsConcurrent(t *testing.T) {
-	r := NewRegistry()
 	const shards = 4
-	c := r.NewCounterVec("c_total", "h", shards)
-	g := r.NewGaugeVec("g", "h", shards)
-	h := r.NewHistogramVec("h_seconds", "h", shards)
-	r.NewGaugeFunc("gf", "h", func() float64 { return float64(c.Total()) })
-	r.NewGaugeVecFunc("gvf", "h", func() []float64 { return g.Values() })
+	in := &instruments{c: NewCounterVec(shards), g: NewGaugeVec(shards), h: NewHistogramVec(shards)}
+	fams := []Family[instruments]{
+		{Name: "c_total", Help: "h", Kind: KindCounter, Shard: func(s *instruments, i int) (float64, bool) { return shardOf(s.c.Values(), i) }},
+		{Name: "g", Help: "h", Kind: KindGauge, Shard: func(s *instruments, i int) (float64, bool) { return shardOf(s.g.Values(), i) }},
+		{Name: "h_seconds", Help: "h", Kind: KindSummary, Hist: func(s *instruments) *HistSnapshot { return s.h.Snapshot() }},
+		{Name: "gf", Help: "h", Kind: KindGauge, Value: func(s *instruments) float64 { return float64(s.c.Total()) }},
+	}
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -271,7 +287,7 @@ func TestInstrumentsConcurrent(t *testing.T) {
 			default:
 			}
 			var sb strings.Builder
-			if err := r.WritePrometheus(&sb); err != nil {
+			if err := WritePrometheus(&sb, fams, in); err != nil {
 				t.Errorf("WritePrometheus: %v", err)
 				return
 			}
@@ -283,35 +299,44 @@ func TestInstrumentsConcurrent(t *testing.T) {
 		go func(i int) {
 			defer writers.Done()
 			for n := 0; n < 10000; n++ {
-				c.Shard(i).Inc()
-				g.Shard(i).Set(float64(n))
-				h.Shard(i).Observe(int64(n * 1000))
+				in.c.Shard(i).Inc()
+				in.g.Shard(i).Set(float64(n))
+				in.h.Shard(i).Observe(int64(n * 1000))
 			}
 		}(i)
 	}
 	writers.Wait()
 	close(stop)
 	readers.Wait()
-	if c.Total() != 4*10000 {
-		t.Fatalf("counter total = %d", c.Total())
+	if in.c.Total() != 4*10000 {
+		t.Fatalf("counter total = %d", in.c.Total())
 	}
-	if h.Snapshot().N != 4*10000 {
-		t.Fatalf("histogram N = %d", h.Snapshot().N)
+	if in.h.Snapshot().N != 4*10000 {
+		t.Fatalf("histogram N = %d", in.h.Snapshot().N)
 	}
 }
 
+// formatSnap is the snapshot TestWritePrometheusFormat renders.
+type formatSnap struct {
+	served  int64
+	results []int64
+	lag     float64
+	latency *HistSnapshot
+}
+
 func TestWritePrometheusFormat(t *testing.T) {
-	r := NewRegistry()
-	c := r.NewCounter("oij_served_total", "Tuples served.")
-	c.Add(7)
-	v := r.NewCounterVec("oij_results_total", "Results.", 2)
-	v.Shard(1).Add(3)
-	r.NewGaugeFunc("oij_lag", "Lag.", func() float64 { return 1.5 })
-	h := r.NewHistogramVec("oij_latency_seconds", "Latency.", 1)
-	h.Shard(0).Observe(2_000_000_000)
+	var h Histogram
+	h.Observe(2_000_000_000)
+	snap := &formatSnap{served: 7, results: []int64{0, 3}, lag: 1.5, latency: h.Snapshot()}
+	fams := []Family[formatSnap]{
+		{Name: "oij_served_total", Help: "Tuples served.", Kind: KindCounter, Value: func(s *formatSnap) float64 { return float64(s.served) }},
+		{Name: "oij_results_total", Help: "Results.", Kind: KindCounter, Shard: func(s *formatSnap, i int) (float64, bool) { return shardOf(s.results, i) }},
+		{Name: "oij_lag", Help: "Lag.", Kind: KindGauge, Value: func(s *formatSnap) float64 { return s.lag }},
+		{Name: "oij_latency_seconds", Help: "Latency.", Kind: KindSummary, Hist: func(s *formatSnap) *HistSnapshot { return s.latency }},
+	}
 
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := WritePrometheus(&sb, fams, snap); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

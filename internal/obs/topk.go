@@ -274,11 +274,14 @@ func (h *HotKeys) Total() uint64 {
 	return n
 }
 
-// TopShare returns the merged stream share of the hottest key and of the
-// full top-k residency — the skew gauges the timeline records so a key
-// going hot is visible as a rising curve, not just a point-in-time list.
-func (h *HotKeys) TopShare(k int) (top1, topK float64) {
-	m := h.Merged(k)
+// TopShare returns the merged stream shares of h's top k keys (see
+// TopKSnapshot.Shares).
+func (h *HotKeys) TopShare(k int) (top1, topK float64) { return h.Merged(k).Shares() }
+
+// Shares returns the stream share of the hottest key and of the full
+// top-k residency — the skew gauges the timeline records so a key going
+// hot is visible as a rising curve, not just a point-in-time list.
+func (m TopKSnapshot) Shares() (top1, topK float64) {
 	if m.Total == 0 {
 		return 0, 0
 	}

@@ -171,7 +171,7 @@ func TestBatchQueueDepthCountsTuples(t *testing.T) {
 
 	gauge := func() float64 {
 		var b strings.Builder
-		s.o.reg.WritePrometheus(&b)
+		writeMetrics(&b, s)
 		return metricValue(t, b.String(), "oij_ingest_queue_depth")
 	}
 	waitDepth := func(want int) {

@@ -3,12 +3,13 @@
 // paper's Fig. 14 utilization trace into a live gauge vector.
 //
 // Hot-path writes are shard-local atomics only (one counter add per tuple,
-// one histogram bucket add per result); everything else is computed at
-// scrape time from state the engine already publishes atomically.
+// one histogram bucket add per result); everything else is read once per
+// scrape, into one Status snapshot, from state the engine already
+// publishes atomically.
 package server
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 	"unsafe"
 
@@ -17,35 +18,35 @@ import (
 	"oij/internal/obs"
 	"oij/internal/obs/timeline"
 	"oij/internal/prof"
-	"oij/internal/repl"
 	"oij/internal/trace"
 	"oij/internal/tuple"
 	"oij/internal/watermark"
 )
 
-// serverObs owns the server's registry and hot-path instruments.
+// serverObs owns the server's hot-path instruments and the family table
+// that renders them, with everything else the server publishes, from one
+// Status snapshot.
 type serverObs struct {
-	reg     *obs.Registry
-	probes  *obs.Counter      // ingested probe tuples
-	bases   *obs.Counter      // ingested base (request) tuples
-	results *obs.CounterVec   // emitted results, per joiner
-	latency *obs.HistogramVec // request latency in ns, per joiner
-	util    *obs.GaugeVec     // live utilization in [0,1], per joiner
-	epochs  *obs.Counter      // closed utilization epochs
+	probes  obs.Counter      // ingested probe tuples
+	bases   obs.Counter      // ingested base (request) tuples
+	results obs.CounterVec   // emitted results, per joiner
+	latency obs.HistogramVec // request latency in ns, per joiner
+	util    obs.GaugeVec     // live utilization in [0,1], per joiner
+	epochs  obs.Counter      // closed utilization epochs
 	started time.Time
 
 	// Overload-control transitions: every shed, reject, and eviction is
 	// counted so the degradation ladder is visible on /metrics.
-	shedProbes       *obs.Counter // probes dropped at admission (funnel full)
-	rejected         *obs.Counter // requests NACKed at admission (policy reject)
-	deadlineRejected *obs.Counter // requests NACKed past RequestDeadline
-	memShedProbes    *obs.Counter // probes shed by the memory watermark guard
-	slowEvicted      *obs.Counter // sessions evicted for not draining results
-	nacksDropped     *obs.Counter // NACKs dropped: session buffer full past the grace, or session closed
+	shedProbes       obs.Counter // probes dropped at admission (funnel full)
+	rejected         obs.Counter // requests NACKed at admission (policy reject)
+	deadlineRejected obs.Counter // requests NACKed past RequestDeadline
+	memShedProbes    obs.Counter // probes shed by the memory watermark guard
+	slowEvicted      obs.Counter // sessions evicted for not draining results
+	nacksDropped     obs.Counter // NACKs dropped: session buffer full past the grace, or session closed
 
 	// replRefused counts writes refused because this node is a standby or
-	// fenced (nil — never incremented — when replication is off).
-	replRefused *obs.Counter
+	// fenced (never incremented, and not rendered, when replication is off).
+	replRefused obs.Counter
 
 	// Hot-key analytics: one SpaceSaving sketch per joiner per stream,
 	// keys routed by the engines' own partition hash so skew is attributed
@@ -58,19 +59,21 @@ type serverObs struct {
 	// seam and by the serving layer's own allocation sites. This is the
 	// always-on allocations-per-tuple baseline the batched hot-path work
 	// optimizes against; the sampled heap profiles corroborate it.
-	allocObjs  [trace.NumStages]*obs.Counter
-	allocBytes [trace.NumStages]*obs.Counter
+	allocObjs  [trace.NumStages]obs.Counter
+	allocBytes [trace.NumStages]obs.Counter
 
 	// rt samples runtime/metrics once per epoch (goroutines, GC pause
 	// p99, heap in-use, GC goal) so process health rides the same
 	// timeline as join health.
 	rt *runtimeSampler
 
-	// Telemetry timeline: the collector flattens the registry into a
-	// series vector once per epoch and the multi-resolution ring retains
-	// it (≈5m at 1s, 1h at 10s, 24h at 1m) in fixed memory. vals is the
-	// sampler-owned scratch vector.
-	collector *obs.Collector
+	// families declares every /metrics family. A scrape renders it over
+	// one fresh Status; once per epoch the collector turns the sampler's
+	// snapshot into a timeline row, which the multi-resolution ring
+	// retains (≈5m at 1s, 1h at 10s, 24h at 1m) in fixed memory. vals is
+	// the sampler-owned scratch vector.
+	families  []obs.Family[Status]
+	collector *obs.Collector[Status]
 	timeline  *timeline.Timeline
 	vals      []float64
 }
@@ -86,10 +89,10 @@ var (
 const wireWriterAllocBytes = 4096
 
 // countAlloc books one hot-path allocation report against a stage's
-// counters. Nil-safe on a half-built serverObs (nothing registers before
-// newServerObs returns in production; tests may call earlier).
+// counters. Nil-safe before newServerObs returns (engines are built, and
+// may report, before the server's instruments exist).
 func (o *serverObs) countAlloc(st trace.Stage, objs, bytes int64) {
-	if o == nil || o.allocObjs[st] == nil {
+	if o == nil {
 		return
 	}
 	o.allocObjs[st].Add(objs)
@@ -114,239 +117,156 @@ func (s *Server) watermarkLag() (maxTS, wm, lag int64) {
 	return int64(m), int64(w), int64(m - w)
 }
 
-// newServerObs registers every instrument against a fresh registry.
+// newServerObs builds the instruments, the family table and the timeline.
 func newServerObs(s *Server, joiners int) *serverObs {
-	reg := obs.NewRegistry()
-	o := &serverObs{
-		reg:     reg,
-		probes:  reg.NewCounter("oij_probes_total", "Probe tuples ingested over the network."),
-		bases:   reg.NewCounter("oij_requests_total", "Base (feature request) tuples ingested."),
-		results: reg.NewCounterVec("oij_results_total", "Join results emitted, per joiner.", joiners),
-		latency: reg.NewHistogramVec("oij_request_latency_seconds", "Request latency from arrival to result emission.", joiners),
-		util:    reg.NewGaugeVec("oij_joiner_utilization", "Per-joiner busy fraction over the last epoch (Fig. 14, live).", joiners),
-		started: time.Now(),
-	}
-	o.epochs = reg.NewCounter("oij_utilization_epochs_total", "Closed utilization sampling epochs.")
-
-	// Per-stage allocation accounting. The Prometheus encoder renders
-	// vector labels only for per-joiner shards, so each stage gets its own
-	// counter name rather than a label.
-	for st := trace.Stage(0); st < trace.NumStages; st++ {
-		name := st.String()
-		o.allocObjs[st] = reg.NewCounter("oij_stage_alloc_objects_"+name+"_total",
-			"Hot-path allocations attributed to the "+name+" stage (exact counts from instrumented sites).")
-		o.allocBytes[st] = reg.NewCounter("oij_stage_alloc_bytes_"+name+"_total",
-			"Bytes allocated on the hot path in the "+name+" stage (slice growth exact, boxed states nominal).")
-	}
-
-	// Runtime health: sampled once per epoch by the sampler loop, read
-	// here at scrape/collect time.
-	o.rt = newRuntimeSampler()
-	reg.NewGaugeFunc("oij_go_goroutines", "Live goroutine count (sampled per epoch).", func() float64 {
-		return float64(o.rt.goroutines.Load())
-	})
-	reg.NewGaugeFunc("oij_go_heap_inuse_bytes", "Heap bytes occupied by live objects (sampled per epoch).", func() float64 {
-		return float64(o.rt.heapInUse.Load())
-	})
-	reg.NewGaugeFunc("oij_go_gc_goal_bytes", "Heap size the next GC cycle targets (sampled per epoch).", func() float64 {
-		return float64(o.rt.gcGoal.Load())
-	})
-	reg.NewGaugeFunc("oij_go_gc_pause_p99_us", "99th percentile GC stop-the-world pause over the last epoch (µs).", func() float64 {
-		return o.rt.pauseP99US()
-	})
-
-	if s.prof != nil {
-		reg.NewGaugeFunc("oij_prof_captures_total", "Profiles captured into the ring since startup.", func() float64 {
-			return float64(s.prof.Stats().Captures)
-		})
-		reg.NewGaugeFunc("oij_prof_incident_captures_total", "Out-of-cycle incident captures since startup.", func() float64 {
-			return float64(s.prof.Stats().Incidents)
-		})
-		reg.NewGaugeFunc("oij_prof_errors_total", "Profile capture or ring write failures since startup.", func() float64 {
-			return float64(s.prof.Stats().Errors)
-		})
-		reg.NewGaugeFunc("oij_prof_ring_entries", "Profiles currently retained in the on-disk ring.", func() float64 {
-			return float64(s.prof.Stats().Entries)
-		})
-		reg.NewGaugeFunc("oij_prof_ring_bytes", "Bytes currently retained in the on-disk profile ring.", func() float64 {
-			return float64(s.prof.Stats().Bytes)
-		})
-	}
-
-	o.shedProbes = reg.NewCounter("oij_admission_shed_probes_total", "Probe tuples dropped at admission because the ingest funnel was full.")
-	o.rejected = reg.NewCounter("oij_admission_rejected_total", "Requests NACKed at admission under the reject policy.")
-	o.deadlineRejected = reg.NewCounter("oij_deadline_rejected_total", "Requests NACKed after exceeding the per-request deadline in the funnel.")
-	o.memShedProbes = reg.NewCounter("oij_mem_shed_probes_total", "Probe tuples shed by the memory watermark guard.")
-	o.slowEvicted = reg.NewCounter("oij_slow_sessions_evicted_total", "Sessions evicted because their result buffer stayed full past the grace period.")
-	o.nacksDropped = reg.NewCounter("oij_nacks_dropped_total", "NACK frames dropped because the session's outgoing buffer stayed full past the slow-consumer grace or the session closed.")
-
-	reg.NewGaugeFunc("oij_uptime_seconds", "Seconds since the server started.", func() float64 {
-		return time.Since(o.started).Seconds()
-	})
-	reg.NewGaugeFunc("oij_watermark_lag_us", "Max observed event time minus current watermark (event-time µs).", func() float64 {
-		_, _, lag := s.watermarkLag()
-		return float64(lag)
-	})
-	reg.NewGaugeFunc("oij_pending_requests", "Requests awaiting a result.", func() float64 {
-		return float64(s.pendingRequests())
-	})
-	reg.NewGaugeFunc("oij_ingest_queue_depth", "Tuples buffered in the ingest funnel.", func() float64 {
-		return float64(s.funnel.Len())
-	})
-	reg.NewGaugeFunc("oij_sessions_active", "Currently connected sessions.", func() float64 {
-		s.mu.Lock()
-		n := len(s.sessions)
-		s.mu.Unlock()
-		return float64(n)
-	})
-	reg.NewGaugeFunc("oij_buffered_probes", "Estimated probe tuples buffered in the engine (ingested minus evicted).", func() float64 {
-		return float64(s.bufferedProbes())
-	})
-	reg.NewGaugeFunc("oij_mem_pressure_level", "Memory guard rung: 0 normal, 1 shedding oldest-window probes, 2 shedding all probes.", func() float64 {
-		return float64(s.memLevel.Load())
-	})
-	reg.NewGaugeFunc("oij_transport_stall_parks_total", "Driver parks while waiting for joiner ring space.", func() float64 {
-		return float64(s.eng.Stalls().Parks)
-	})
-	reg.NewGaugeFunc("oij_stalled_joiners", "Joiners whose input ring has blocked the driver past the stall threshold.", func() float64 {
-		return float64(len(s.eng.Stalls().Wedged(stallThreshold)))
-	})
-	reg.NewGaugeFunc("oij_wal_errors", "WAL append failures since startup.", func() float64 {
-		return float64(s.walErrs.Load())
-	})
-	reg.NewGaugeFunc("oij_wal_recovered_frames", "WAL frames replayed into the engine at recovery.", func() float64 {
-		return float64(s.walRecovered.Load())
-	})
-	reg.NewGaugeFunc("oij_wal_skipped_frames", "Checksum-failed WAL frames skipped at recovery.", func() float64 {
-		return float64(s.walSkipped.Load())
-	})
-	reg.NewGaugeFunc("oij_wal_truncated_bytes", "Torn or unsalvageable bytes truncated from WAL segment tails.", func() float64 {
-		return float64(s.walTruncated.Load())
-	})
-	reg.NewGaugeFunc("oij_effectiveness", "Paper Eq. 1: in-window fraction of visited buffer entries (1 when uninstrumented).", func() float64 {
-		return s.eng.Stats().MergedEffectiveness()
-	})
-	reg.NewGaugeFunc("oij_unbalancedness", "Paper Eq. 2: dispersion of per-joiner workloads.", func() float64 {
-		return metrics.Unbalancedness(s.eng.Stats().Loads())
-	})
-	reg.NewGaugeVecFunc("oij_joiner_queue_depth", "Per-joiner input ring depth.", func() []float64 {
-		depths := s.eng.QueueDepths()
-		out := make([]float64, len(depths))
-		for i, d := range depths {
-			out[i] = float64(d)
-		}
-		return out
-	})
-	reg.NewGaugeVecFunc("oij_joiner_processed_total", "Data tuples handled per joiner (paper W_i).", func() []float64 {
-		st := s.eng.Stats()
-		out := make([]float64, len(st.Processed))
-		for i := range st.Processed {
-			out[i] = float64(st.Processed[i].Load())
-		}
-		return out
-	})
-	if r, ok := s.eng.(interface{ Reschedules() int64 }); ok {
-		reg.NewGaugeFunc("oij_reschedules", "Accepted dynamic-schedule changes (Algorithm 3).", func() float64 {
-			return float64(r.Reschedules())
-		})
-	}
-	rev, goVer, procs := obs.Build()
-	reg.NewInfo("oij_build_info", "Build identity; constant 1.", [][2]string{
-		{"revision", rev},
-		{"go_version", goVer},
-		{"gomaxprocs", fmt.Sprintf("%d", procs)},
-	})
-	reg.NewGaugeFunc("oij_trace_sample_every", "Per-request trace sampling rate (1-in-N; 0 = disabled).", func() float64 {
-		return float64(s.tracer.SampleN())
-	})
-	reg.NewGaugeFunc("oij_trace_completed_spans", "Sampled request spans completed since startup.", func() float64 {
-		return float64(s.tracer.Completed())
-	})
-	reg.NewGaugeFunc("oij_flight_events_total", "Flight-recorder events recorded since startup.", func() float64 {
-		return float64(s.flight.Seq())
-	})
-	reg.NewGaugeFunc("oij_flight_dumps_total", "Flight-recorder incident dumps written since startup.", func() float64 {
-		return float64(s.flight.Dumps())
-	})
-	reg.NewGaugeFunc("oij_slo_healthy", "SLO verdict served on /healthz: 1 healthy, 0 unhealthy.", func() float64 {
-		if s.slo.healthy.Load() {
-			return 1
-		}
-		return 0
-	})
 	hash := func(h uint64) uint64 { return engine.HashKey(tuple.Key(h)) }
-	o.hotProbes = obs.NewHotKeys(joiners, hotKeysK, hash)
-	o.hotBases = obs.NewHotKeys(joiners, hotKeysK, hash)
-	reg.NewGaugeFunc("oij_hotkey_probe_top1_share", "Stream share of the hottest probe key (SpaceSaving merge across joiners).", func() float64 {
-		top1, _ := o.hotProbes.TopShare(hotKeysK)
-		return top1
-	})
-	reg.NewGaugeFunc("oij_hotkey_probe_topk_share", "Stream share of the merged probe top-K residency.", func() float64 {
-		_, topK := o.hotProbes.TopShare(hotKeysK)
-		return topK
-	})
-	reg.NewGaugeFunc("oij_hotkey_base_top1_share", "Stream share of the hottest request key.", func() float64 {
-		top1, _ := o.hotBases.TopShare(hotKeysK)
-		return top1
-	})
-	reg.NewGaugeFunc("oij_hotkey_base_topk_share", "Stream share of the merged request top-K residency.", func() float64 {
-		_, topK := o.hotBases.TopShare(hotKeysK)
-		return topK
-	})
-	if r := s.repl; r != nil {
-		o.replRefused = reg.NewCounter("oij_repl_refused_total", "Writes refused because this node is a replication standby or fenced.")
-		reg.NewGaugeFunc("oij_repl_role", "Replication role: 1 primary, 2 standby, 3 fenced.", func() float64 {
-			return float64(r.role.Load())
-		})
-		reg.NewGaugeFunc("oij_repl_epoch", "Fencing epoch this node last durably stamped or applied.", func() float64 {
-			return float64(r.epoch.Load())
-		})
-		reg.NewGaugeFunc("oij_repl_log_end_slot", "Next WAL slot this node will assign (end of its log).", func() float64 {
-			if s.wal == nil {
-				return 0
-			}
-			appended, _ := s.wal.Slots()
-			return float64(appended)
-		})
-		reg.NewGaugeFunc("oij_repl_durable_slot", "WAL slots known durable on this node's own disk.", func() float64 {
-			if s.wal == nil {
-				return 0
-			}
-			_, durable := s.wal.Slots()
-			return float64(durable)
-		})
-		reg.NewGaugeFunc("oij_repl_replay_offset", "Replication replay offset: acked slot on a primary, applied primary slot on a standby.", func() float64 {
-			switch r.roleNow() {
-			case repl.RoleStandby, repl.RoleFenced:
-				return float64(r.appliedSlot())
-			default:
-				return float64(r.acked.Load())
-			}
-		})
-		reg.NewGaugeFunc("oij_repl_lag_bytes", "Replication lag in bytes (un-acked log suffix on a primary, un-applied on a standby).", func() float64 {
-			b, _ := r.lag()
-			return float64(b)
-		})
-		reg.NewGaugeFunc("oij_repl_lag_ms", "Milliseconds since the last replication liveness signal (ack on a primary, any traffic on a standby).", func() float64 {
-			_, ms := r.lag()
-			return ms
-		})
-		reg.NewGaugeFunc("oij_repl_standbys", "Standby links currently attached to this node's source.", func() float64 {
-			return float64(r.standbys.Load())
-		})
-		reg.NewGaugeFunc("oij_repl_caught_up", "1 once the standby has applied up to the primary's announced end of log.", func() float64 {
-			if r.caughtUp.Load() {
-				return 1
-			}
-			return 0
-		})
+	o := &serverObs{
+		results:   obs.NewCounterVec(joiners),
+		latency:   obs.NewHistogramVec(joiners),
+		util:      obs.NewGaugeVec(joiners),
+		started:   time.Now(),
+		hotProbes: obs.NewHotKeys(joiners, hotKeysK, hash),
+		hotBases:  obs.NewHotKeys(joiners, hotKeysK, hash),
+		rt:        newRuntimeSampler(),
 	}
-	// The collector snapshots the instrument set, so every gauge above —
-	// including the SLO verdict and hot-key shares — becomes a timeline
-	// series; instruments must not be registered after this point.
-	o.collector = obs.NewCollector(reg)
+	o.families = s.metricFamilies()
+	o.collector = obs.NewCollector(o.families)
 	o.timeline = timeline.New(o.collector.Names())
 	return o
+}
+
+// Family constructors for the table below: a value read off the snapshot
+// becomes a counter, a gauge, or one sample per joiner.
+func counterOf(name, help string, v func(*Status) int64) obs.Family[Status] {
+	return obs.Family[Status]{Name: name, Help: help, Kind: obs.KindCounter,
+		Value: func(st *Status) float64 { return float64(v(st)) }}
+}
+
+func gaugeOf(name, help string, v func(*Status) float64) obs.Family[Status] {
+	return obs.Family[Status]{Name: name, Help: help, Kind: obs.KindGauge, Value: v}
+}
+
+func perJoiner(kind obs.Kind, name, help string, v func(*JoinerStatus) float64) obs.Family[Status] {
+	return obs.Family[Status]{Name: name, Help: help, Kind: kind,
+		Shard: func(st *Status, i int) (float64, bool) {
+			if i >= len(st.PerJoiner) {
+				return 0, false
+			}
+			return v(&st.PerJoiner[i]), true
+		}}
+}
+
+func boolGauge(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// metricFamilies declares every /metrics family once, in scrape order,
+// each read from a Status. The profiling, replication and rescheduling
+// families exist only on servers that have those sections.
+func (s *Server) metricFamilies() []obs.Family[Status] {
+	fams := []obs.Family[Status]{
+		{Name: "oij_build_info", Help: "Build identity; constant 1.", Kind: obs.KindInfo,
+			Labels: func(st *Status) [][2]string {
+				return [][2]string{{"revision", st.Build.Revision}, {"go_version", st.Build.GoVersion},
+					{"gomaxprocs", strconv.Itoa(st.Build.GOMAXPROCS)}}
+			}},
+		counterOf("oij_probes_total", "Probe tuples ingested over the network.", func(st *Status) int64 { return st.Probes }),
+		counterOf("oij_requests_total", "Base (feature request) tuples ingested.", func(st *Status) int64 { return st.Requests }),
+		perJoiner(obs.KindCounter, "oij_results_total", "Join results emitted, per joiner.", func(js *JoinerStatus) float64 { return float64(js.Results) }),
+		counterOf("oij_utilization_epochs_total", "Closed utilization sampling epochs.", func(st *Status) int64 { return st.UtilizationEpochs }),
+	}
+	// Per-stage allocation accounting. Vector labels are only per-joiner,
+	// so each stage gets its own counter name rather than a label.
+	for stage := trace.Stage(0); stage < trace.NumStages; stage++ {
+		name := stage.String()
+		fams = append(fams,
+			counterOf("oij_stage_alloc_objects_"+name+"_total",
+				"Hot-path allocations attributed to the "+name+" stage (exact counts from instrumented sites).",
+				func(st *Status) int64 { return st.StageAllocs[stage].Objects }),
+			counterOf("oij_stage_alloc_bytes_"+name+"_total",
+				"Bytes allocated on the hot path in the "+name+" stage (slice growth exact, boxed states nominal).",
+				func(st *Status) int64 { return st.StageAllocs[stage].Bytes }))
+	}
+	fams = append(fams,
+		counterOf("oij_admission_shed_probes_total", "Probe tuples dropped at admission because the ingest funnel was full.", func(st *Status) int64 { return st.Overload.ShedProbes }),
+		counterOf("oij_admission_rejected_total", "Requests NACKed at admission under the reject policy.", func(st *Status) int64 { return st.Overload.Rejected }),
+		counterOf("oij_deadline_rejected_total", "Requests NACKed after exceeding the per-request deadline in the funnel.", func(st *Status) int64 { return st.Overload.DeadlineRejected }),
+		counterOf("oij_mem_shed_probes_total", "Probe tuples shed by the memory watermark guard.", func(st *Status) int64 { return st.Overload.MemShedProbes }),
+		counterOf("oij_slow_sessions_evicted_total", "Sessions evicted because their result buffer stayed full past the grace period.", func(st *Status) int64 { return st.Overload.SlowSessionsEvicted }),
+		counterOf("oij_nacks_dropped_total", "NACK frames dropped because the session's outgoing buffer stayed full past the slow-consumer grace or the session closed.", func(st *Status) int64 { return st.Overload.NacksDropped }),
+	)
+	if s.repl != nil {
+		fams = append(fams, counterOf("oij_repl_refused_total", "Writes refused because this node is a replication standby or fenced.", func(st *Status) int64 { return st.Replication.Refused }))
+	}
+	fams = append(fams,
+		perJoiner(obs.KindGauge, "oij_joiner_utilization", "Per-joiner busy fraction over the last epoch (Fig. 14, live).", func(js *JoinerStatus) float64 { return js.Utilization }),
+		gaugeOf("oij_go_goroutines", "Live goroutine count (sampled per epoch).", func(st *Status) float64 { return float64(st.Runtime.Goroutines) }),
+		gaugeOf("oij_go_heap_inuse_bytes", "Heap bytes occupied by live objects (sampled per epoch).", func(st *Status) float64 { return float64(st.Runtime.HeapInUse) }),
+		gaugeOf("oij_go_gc_goal_bytes", "Heap size the next GC cycle targets (sampled per epoch).", func(st *Status) float64 { return float64(st.Runtime.GCGoalBytes) }),
+		gaugeOf("oij_go_gc_pause_p99_us", "99th percentile GC stop-the-world pause over the last epoch (µs).", func(st *Status) float64 { return st.Runtime.GCPauseP99Us }),
+	)
+	if s.prof != nil {
+		fams = append(fams,
+			gaugeOf("oij_prof_captures_total", "Profiles captured into the ring since startup.", func(st *Status) float64 { return float64(st.Profiling.Captures) }),
+			gaugeOf("oij_prof_incident_captures_total", "Out-of-cycle incident captures since startup.", func(st *Status) float64 { return float64(st.Profiling.Incidents) }),
+			gaugeOf("oij_prof_errors_total", "Profile capture or ring write failures since startup.", func(st *Status) float64 { return float64(st.Profiling.Errors) }),
+			gaugeOf("oij_prof_ring_entries", "Profiles currently retained in the on-disk ring.", func(st *Status) float64 { return float64(st.Profiling.Entries) }),
+			gaugeOf("oij_prof_ring_bytes", "Bytes currently retained in the on-disk profile ring.", func(st *Status) float64 { return float64(st.Profiling.Bytes) }),
+		)
+	}
+	fams = append(fams,
+		gaugeOf("oij_uptime_seconds", "Seconds since the server started.", func(st *Status) float64 { return st.UptimeSeconds }),
+		gaugeOf("oij_watermark_lag_us", "Max observed event time minus current watermark (event-time µs).", func(st *Status) float64 { return float64(st.WatermarkLag) }),
+		gaugeOf("oij_pending_requests", "Requests awaiting a result.", func(st *Status) float64 { return float64(st.PendingRequests) }),
+		gaugeOf("oij_ingest_queue_depth", "Tuples buffered in the ingest funnel.", func(st *Status) float64 { return float64(st.IngestQueueDepth) }),
+		gaugeOf("oij_sessions_active", "Currently connected sessions.", func(st *Status) float64 { return float64(st.Overload.SessionsActive) }),
+		gaugeOf("oij_buffered_probes", "Estimated probe tuples buffered in the engine (ingested minus evicted).", func(st *Status) float64 { return float64(st.Overload.BufferedProbes) }),
+		gaugeOf("oij_mem_pressure_level", "Memory guard rung: 0 normal, 1 shedding oldest-window probes, 2 shedding all probes.", func(st *Status) float64 { return float64(st.Overload.MemPressureLevel) }),
+		gaugeOf("oij_transport_stall_parks_total", "Driver parks while waiting for joiner ring space.", func(st *Status) float64 { return float64(st.Overload.StallParks) }),
+		gaugeOf("oij_stalled_joiners", "Joiners whose input ring has blocked the driver past the stall threshold.", func(st *Status) float64 { return float64(len(st.Overload.StalledJoiners)) }),
+		gaugeOf("oij_wal_errors", "WAL append failures since startup.", func(st *Status) float64 { return float64(st.WALErrors) }),
+		gaugeOf("oij_wal_recovered_frames", "WAL frames replayed into the engine at recovery.", func(st *Status) float64 { return float64(st.WALRecovered) }),
+		gaugeOf("oij_wal_skipped_frames", "Checksum-failed WAL frames skipped at recovery.", func(st *Status) float64 { return float64(st.WALSkipped) }),
+		gaugeOf("oij_wal_truncated_bytes", "Torn or unsalvageable bytes truncated from WAL segment tails.", func(st *Status) float64 { return float64(st.WALTruncated) }),
+		gaugeOf("oij_effectiveness", "Paper Eq. 1: in-window fraction of visited buffer entries (1 when uninstrumented).", func(st *Status) float64 { return st.Effectiveness }),
+		gaugeOf("oij_unbalancedness", "Paper Eq. 2: dispersion of per-joiner workloads.", func(st *Status) float64 { return st.Unbalancedness }),
+	)
+	if _, ok := s.eng.(rescheduler); ok {
+		fams = append(fams, gaugeOf("oij_reschedules", "Accepted dynamic-schedule changes (Algorithm 3).", func(st *Status) float64 { return float64(*st.Reschedules) }))
+	}
+	fams = append(fams,
+		gaugeOf("oij_trace_sample_every", "Per-request trace sampling rate (1-in-N; 0 = disabled).", func(st *Status) float64 { return float64(st.Trace.SampleEvery) }),
+		gaugeOf("oij_trace_completed_spans", "Sampled request spans completed since startup.", func(st *Status) float64 { return float64(st.Trace.CompletedSpans) }),
+		gaugeOf("oij_flight_events_total", "Flight-recorder events recorded since startup.", func(st *Status) float64 { return float64(st.Trace.FlightEvents) }),
+		gaugeOf("oij_flight_dumps_total", "Flight-recorder incident dumps written since startup.", func(st *Status) float64 { return float64(st.Trace.FlightDumps) }),
+		gaugeOf("oij_slo_healthy", "SLO verdict served on /healthz: 1 healthy, 0 unhealthy.", func(st *Status) float64 { return boolGauge(st.SLO.Healthy) }),
+		gaugeOf("oij_hotkey_probe_top1_share", "Stream share of the hottest probe key (SpaceSaving merge across joiners).", func(st *Status) float64 { return st.HotKeys.ProbesTop1 }),
+		gaugeOf("oij_hotkey_probe_topk_share", "Stream share of the merged probe top-K residency.", func(st *Status) float64 { return st.HotKeys.ProbesTopK }),
+		gaugeOf("oij_hotkey_base_top1_share", "Stream share of the hottest request key.", func(st *Status) float64 { return st.HotKeys.BasesTop1 }),
+		gaugeOf("oij_hotkey_base_topk_share", "Stream share of the merged request top-K residency.", func(st *Status) float64 { return st.HotKeys.BasesTopK }),
+	)
+	if s.repl != nil {
+		fams = append(fams,
+			gaugeOf("oij_repl_role", "Replication role: 1 primary, 2 standby, 3 fenced.", func(st *Status) float64 { return float64(st.Replication.RoleCode) }),
+			gaugeOf("oij_repl_epoch", "Fencing epoch this node last durably stamped or applied.", func(st *Status) float64 { return float64(st.Replication.Epoch) }),
+			gaugeOf("oij_repl_log_end_slot", "Next WAL slot this node will assign (end of its log).", func(st *Status) float64 { return float64(st.Replication.LogEndSlot) }),
+			gaugeOf("oij_repl_durable_slot", "WAL slots known durable on this node's own disk.", func(st *Status) float64 { return float64(st.Replication.DurableSlot) }),
+			gaugeOf("oij_repl_replay_offset", "Replication replay offset: acked slot on a primary, applied primary slot on a standby.", func(st *Status) float64 { return float64(st.Replication.ReplayOffset) }),
+			gaugeOf("oij_repl_lag_bytes", "Replication lag in bytes (un-acked log suffix on a primary, un-applied on a standby).", func(st *Status) float64 { return float64(st.Replication.LagBytes) }),
+			gaugeOf("oij_repl_lag_ms", "Milliseconds since the last replication liveness signal (ack on a primary, any traffic on a standby).", func(st *Status) float64 { return st.Replication.LagMs }),
+			gaugeOf("oij_repl_standbys", "Standby links currently attached to this node's source.", func(st *Status) float64 { return float64(st.Replication.Standbys) }),
+			gaugeOf("oij_repl_caught_up", "1 once the standby has applied up to the primary's announced end of log.", func(st *Status) float64 { return boolGauge(st.Replication.CaughtUp) }),
+		)
+	}
+	return append(fams,
+		perJoiner(obs.KindGauge, "oij_joiner_queue_depth", "Per-joiner input ring depth.", func(js *JoinerStatus) float64 { return float64(js.QueueDepth) }),
+		perJoiner(obs.KindGauge, "oij_joiner_processed_total", "Data tuples handled per joiner (paper W_i).", func(js *JoinerStatus) float64 { return float64(js.Processed) }),
+		obs.Family[Status]{Name: "oij_request_latency_seconds", Help: "Request latency from arrival to result emission.", Kind: obs.KindSummary,
+			Hist: func(st *Status) *obs.HistSnapshot { return st.LatencyHist }},
+	)
 }
 
 // sampleUtilization closes one epoch: each joiner's busy-time delta over
@@ -395,10 +315,12 @@ func (s *Server) samplerLoop() {
 			// goroutine series line up with join-side series point for
 			// point on /timeline.
 			s.o.rt.sample()
-			// The same tick feeds the telemetry timeline and re-scores
-			// the SLO verdict, so /timeline, /healthz, and the flight
-			// recorder all advance on one clock.
-			s.o.vals = s.o.collector.Collect(elapsed, s.o.vals)
+			// The same tick takes one snapshot for the telemetry
+			// timeline and re-scores the SLO verdict, so /timeline,
+			// /healthz, and the flight recorder all advance on one
+			// clock.
+			st := s.Statusz()
+			s.o.vals = s.o.collector.Collect(&st, elapsed, s.o.vals)
 			s.o.timeline.Record(now, s.o.vals)
 			s.slo.evaluate(now, epoch)
 		}
@@ -559,24 +481,33 @@ type Status struct {
 	HotKeys          *HotKeysStatus     `json:"hot_keys,omitempty"`
 	Latency          LatencyStatus      `json:"latency"`
 	PerJoiner        []JoinerStatus     `json:"per_joiner"`
+
+	// Read by /metrics and the timeline only.
+	LatencyHist       *obs.HistSnapshot `json:"-"`
+	UtilizationEpochs int64             `json:"-"`
 }
 
-// pendingRequests counts registered bases not yet answered. Each one
-// produces exactly one result, closed sessions' included, so it is bases
-// minus results; results is read first, so a base answered between the
-// two reads cannot make it negative.
-func (s *Server) pendingRequests() int {
-	results := s.o.results.Total()
-	return int(s.o.bases.Load() - results)
-}
+// rescheduler is an engine that counts Algorithm 3's schedule changes.
+type rescheduler interface{ Reschedules() int64 }
 
-// Statusz snapshots the server without stopping it: counters and gauges
-// are atomics, the latency histogram merges per-joiner SWMR shards, and
-// the only lock taken is the session-set mutex, to count sessions.
+// Statusz snapshots the server without stopping it, reading each source
+// once; /statusz, /metrics and the timeline all render this one value.
+// Counters and gauges are atomics and the latency histogram merges
+// per-joiner SWMR shards. Some sources take a brief lock: the session
+// set, each hot-key sketch, the SLO verdict, the profiler's stats and the
+// replication listener.
 func (s *Server) Statusz() Status {
+	// Each base produces exactly one result, closed sessions' included, so
+	// pending is bases minus results. Results are read first, so a base
+	// answered between the two reads cannot make it negative.
+	resultsPer := s.o.results.Values()
+	var results int64
+	for _, r := range resultsPer {
+		results += r
+	}
+	requests := s.o.bases.Load()
 	st := s.eng.Stats()
 	maxTS, wm, lag := s.watermarkLag()
-	pending := s.pendingRequests()
 	s.mu.Lock()
 	active := len(s.sessions)
 	s.mu.Unlock()
@@ -584,38 +515,39 @@ func (s *Server) Statusz() Status {
 	joiners := s.cfg.Engine.Joiners
 	depths := s.eng.QueueDepths()
 	utils := s.o.util.Values()
-	resultsPer := s.o.results.Values()
 
 	out := Status{
-		Algorithm:        s.cfg.Algorithm,
-		Mode:             s.cfg.Engine.Mode.String(),
-		Joiners:          joiners,
-		UptimeSeconds:    time.Since(s.o.started).Seconds(),
-		Served:           s.served.Load(),
-		Probes:           s.o.probes.Load(),
-		Requests:         s.o.bases.Load(),
-		Results:          s.o.results.Total(),
-		PendingRequests:  pending,
-		IngestQueueDepth: s.funnel.Len(),
-		WALErrors:        s.walErrs.Load(),
-		WALRecovered:     s.walRecovered.Load(),
-		WALSkipped:       s.walSkipped.Load(),
-		WALTruncated:     s.walTruncated.Load(),
-		MaxEventTS:       maxTS,
-		Watermark:        wm,
-		WatermarkLag:     lag,
-		Effectiveness:    st.MergedEffectiveness(),
-		Unbalancedness:   metrics.Unbalancedness(st.Loads()),
-		PerJoiner:        make([]JoinerStatus, joiners),
+		Algorithm:         s.cfg.Algorithm,
+		Mode:              s.cfg.Engine.Mode.String(),
+		Joiners:           joiners,
+		UptimeSeconds:     time.Since(s.o.started).Seconds(),
+		Served:            s.served.Load(),
+		Probes:            s.o.probes.Load(),
+		Requests:          requests,
+		Results:           results,
+		PendingRequests:   int(requests - results),
+		IngestQueueDepth:  s.funnel.Len(),
+		WALErrors:         s.walErrs.Load(),
+		WALRecovered:      s.walRecovered.Load(),
+		WALSkipped:        s.walSkipped.Load(),
+		WALTruncated:      s.walTruncated.Load(),
+		MaxEventTS:        maxTS,
+		Watermark:         wm,
+		WatermarkLag:      lag,
+		Effectiveness:     st.MergedEffectiveness(),
+		Unbalancedness:    metrics.Unbalancedness(st.Loads()),
+		PerJoiner:         make([]JoinerStatus, joiners),
+		UtilizationEpochs: s.o.epochs.Load(),
 	}
 	if s.wal != nil {
 		out.WALSync = s.wal.Mode().String()
 	}
-	if r, ok := s.eng.(interface{ Reschedules() int64 }); ok {
+	if r, ok := s.eng.(rescheduler); ok {
 		n := r.Reschedules()
 		out.Reschedules = &n
 	}
 	out.Replication = s.replStatus()
+	stalls := s.eng.Stalls()
 	out.Overload = OverloadStatus{
 		Admission:           s.cfg.Admission,
 		RequestDeadlineMs:   float64(s.cfg.RequestDeadline) / float64(time.Millisecond),
@@ -630,10 +562,9 @@ func (s *Server) Statusz() Status {
 		BufferedProbes:      s.bufferedProbes(),
 		MemPressureLevel:    s.memLevel.Load(),
 		SessionsActive:      active,
+		StallParks:          stalls.Parks,
+		StalledJoiners:      stalls.Wedged(stallThreshold),
 	}
-	stalls := s.eng.Stalls()
-	out.Overload.StallParks = stalls.Parks
-	out.Overload.StalledJoiners = stalls.Wedged(stallThreshold)
 	rev, goVer, procs := obs.Build()
 	out.Build = BuildStatus{Revision: rev, GoVersion: goVer, GOMAXPROCS: procs}
 	out.Trace = TraceStatus{
@@ -672,10 +603,11 @@ func (s *Server) Statusz() Status {
 	hk := &HotKeysStatus{K: hotKeysK, PerJoinerK: hotKeysK, JoinerShard: true}
 	hk.Probes = s.o.hotProbes.Merged(hotKeysK)
 	hk.Bases = s.o.hotBases.Merged(hotKeysK)
-	hk.ProbesTop1, hk.ProbesTopK = s.o.hotProbes.TopShare(hotKeysK)
-	hk.BasesTop1, hk.BasesTopK = s.o.hotBases.TopShare(hotKeysK)
+	hk.ProbesTop1, hk.ProbesTopK = hk.Probes.Shares()
+	hk.BasesTop1, hk.BasesTopK = hk.Bases.Shares()
 	out.HotKeys = hk
 	h := s.o.latency.Snapshot()
+	out.LatencyHist = h
 	msOf := func(ns int64) float64 { return float64(ns) / float64(time.Millisecond) }
 	out.Latency = LatencyStatus{
 		Count:  h.N,
@@ -686,16 +618,10 @@ func (s *Server) Statusz() Status {
 		P999Ms: msOf(h.Quantile(0.999)),
 		MaxMs:  msOf(h.Max),
 	}
-	for i := 0; i < joiners; i++ {
-		js := JoinerStatus{Processed: st.Processed[i].Load()}
-		if i < len(resultsPer) {
-			js.Results = resultsPer[i]
-		}
+	for i := range out.PerJoiner {
+		js := JoinerStatus{Processed: st.Processed[i].Load(), Results: resultsPer[i], Utilization: utils[i]}
 		if i < len(depths) {
 			js.QueueDepth = depths[i]
-		}
-		if i < len(utils) {
-			js.Utilization = utils[i]
 		}
 		out.PerJoiner[i] = js
 	}

@@ -141,8 +141,8 @@ func TestProfilingEndToEnd(t *testing.T) {
 		t.Fatalf("ingest stage allocs: %+v", st.StageAllocs)
 	}
 
-	// The new series are timeline series too (registered before the
-	// collector snapshot).
+	// The new series are timeline series too (the collector derives its
+	// series from the same family table).
 	tl := scrape(t, base+"/timeline?series=oij_go_goroutines,oij_prof_captures_total,oij_stage_alloc_objects_ingest_total:rate")
 	var tdoc timeline.Doc
 	if err := json.Unmarshal([]byte(tl), &tdoc); err != nil {

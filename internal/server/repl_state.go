@@ -319,6 +319,7 @@ type ReplStatus struct {
 	PrimaryAddr  string  `json:"primary_addr,omitempty"`
 	Refused      int64   `json:"refused"`
 	LastError    string  `json:"last_error,omitempty"`
+	RoleCode     int32   `json:"-"` // repl.Role, for /metrics
 }
 
 // replStatus snapshots the replication block (nil when replication is
@@ -329,8 +330,10 @@ func (s *Server) replStatus() *ReplStatus {
 		return nil
 	}
 	lagB, lagMs := r.lag()
+	role := r.roleNow()
 	st := &ReplStatus{
-		Role:        r.roleNow().String(),
+		Role:        role.String(),
+		RoleCode:    int32(role),
 		Epoch:       r.epoch.Load(),
 		LagBytes:    lagB,
 		LagMs:       lagMs,
@@ -342,15 +345,13 @@ func (s *Server) replStatus() *ReplStatus {
 		appended, durable := s.wal.Slots()
 		st.LogEndSlot, st.DurableSlot = appended, durable
 	}
-	switch r.roleNow() {
+	switch role {
 	case repl.RoleStandby, repl.RoleFenced:
 		st.ReplayOffset = r.appliedSlot()
 	default:
 		st.ReplayOffset = r.acked.Load()
 	}
-	if o := s.o; o != nil && o.replRefused != nil {
-		st.Refused = o.replRefused.Load()
-	}
+	st.Refused = s.o.replRefused.Load()
 	r.mu.Lock()
 	if r.ln != nil {
 		st.ListenAddr = r.ln.Addr().String()

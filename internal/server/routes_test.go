@@ -56,7 +56,7 @@ func mappedChunks(s *Server) int {
 func pendingGauge(t *testing.T, s *Server) int {
 	t.Helper()
 	var b strings.Builder
-	s.o.reg.WritePrometheus(&b)
+	writeMetrics(&b, s)
 	return int(metricValue(t, b.String(), "oij_pending_requests"))
 }
 

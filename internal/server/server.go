@@ -392,8 +392,8 @@ func New(cfg Config) (*Server, error) {
 		s.repl = newReplState(s, cfg)
 	}
 	if cfg.ProfileDir != "" {
-		// Built before newServerObs so the profiling gauges it registers
-		// are visible to the collector snapshot.
+		// Built before newServerObs so the family table includes the
+		// profiling families.
 		pc, err := prof.New(prof.Config{
 			Dir:      cfg.ProfileDir,
 			Period:   cfg.ProfilePeriod,
@@ -578,7 +578,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.ln = ln
 	s.startEngine()
 	if s.cfg.AdminAddr != "" {
-		admin, err := obs.ServeAdmin(s.cfg.AdminAddr, s.o.reg, func() any { return s.Statusz() },
+		admin, err := obs.ServeAdmin(s.cfg.AdminAddr, func() *Status { st := s.Statusz(); return &st }, s.o.families,
 			obs.Endpoint{Path: "/tracez", Handler: s.serveTracez},
 			obs.Endpoint{Path: "/debug/flightrecorder", Handler: s.serveFlightRecorder},
 			obs.Endpoint{Path: "/timeline", Handler: s.serveTimeline},

@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"oij/internal/trace"
@@ -63,8 +62,7 @@ type HealthStatus struct {
 // instantly even when the server is drowning — that is exactly when the
 // load balancer needs the 503.
 type sloEvaluator struct {
-	s       *Server
-	healthy atomic.Bool // read by the oij_slo_healthy gauge and /healthz
+	s *Server
 
 	mu             sync.Mutex
 	cur            HealthStatus
@@ -74,7 +72,6 @@ type sloEvaluator struct {
 
 func newSLOEvaluator(s *Server) *sloEvaluator {
 	e := &sloEvaluator{s: s}
-	e.healthy.Store(true)
 	e.cur = HealthStatus{Healthy: true}
 	return e
 }
@@ -171,7 +168,6 @@ func (e *sloEvaluator) evaluate(now time.Time, epoch uint64) {
 	st.Transitions = e.transitions
 	e.cur = st
 	e.mu.Unlock()
-	e.healthy.Store(st.Healthy)
 
 	if was && !st.Healthy {
 		e.s.flight.Record(trace.CompSLO, trace.EvSLOUnhealthy, mask, epoch)

@@ -25,7 +25,7 @@ func (c *telemetryClock) tick(n int) {
 	for i := 0; i < n; i++ {
 		c.now = c.now.Add(time.Second)
 		c.epoch++
-		c.s.o.vals = c.s.o.collector.Collect(time.Second, c.s.o.vals)
+		c.s.o.vals = c.s.o.collector.Collect(snap(c.s), time.Second, c.s.o.vals)
 		c.s.o.timeline.Record(c.now, c.s.o.vals)
 		c.s.slo.evaluate(c.now, c.epoch)
 	}
@@ -265,7 +265,8 @@ func TestHotKeysOnIngest(t *testing.T) {
 	if hk.Bases.Entries[0].Key != 42 || hk.Bases.Total != 1 {
 		t.Fatalf("base hot keys: %+v", hk.Bases)
 	}
-	// The share gauges are registered, so they are timeline series too.
+	// The share gauges are in the family table, so they are timeline
+	// series too.
 	var found bool
 	for _, name := range srv.o.timeline.Names() {
 		if name == "oij_hotkey_probe_top1_share" {
