@@ -89,10 +89,10 @@ func (e *Engine) work(id int, t tuple.Tuple) {
 		w0 := time.Now()
 		e.mu.Lock()
 		e.lockWait.Add(int64(time.Since(w0)))
-		b := e.table.Put(t)
+		objs, b := e.table.Put(t)
 		e.mu.Unlock()
-		if b > 0 && e.Alloc != nil {
-			e.Alloc.CountAlloc(trace.StageIngest, 1, b)
+		if objs > 0 && e.Alloc != nil {
+			e.Alloc.CountAlloc(trace.StageIngest, objs, b)
 		}
 		return
 	}

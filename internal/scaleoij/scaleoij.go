@@ -297,8 +297,8 @@ func newJoiner(e *Engine, id int) *joiner {
 func (j *joiner) onTuple(t tuple.Tuple) {
 	j.e.Stats().Processed[j.id].Add(1)
 	if t.Side == tuple.Probe {
-		if b := j.ix.Put(t); b > 0 && j.e.Alloc != nil {
-			j.e.Alloc.CountAlloc(trace.StageIngest, 1, b)
+		if objs, b := j.ix.Put(t); objs > 0 && j.e.Alloc != nil {
+			j.e.Alloc.CountAlloc(trace.StageIngest, objs, b)
 		}
 		if j.e.opt.Incremental && j.e.Cfg.Mode == engine.OnArrival {
 			// A late probe landing inside this joiner's cached window
@@ -414,6 +414,23 @@ func (j *joiner) evictWM() tuple.Time {
 		return j.e.finalized.Global()
 	}
 	return j.e.processed.Global()
+}
+
+// sweepCeiling is the highest gate any member may sweep with while this
+// joiner joins. A gate is a minimum over published watermarks that
+// includes this joiner's own (evictWM), and the joiner publishes only
+// between joins, so its own published value caps every gate until its
+// next publication. Without shared processing only the joiner itself
+// sweeps what it reads.
+func (j *joiner) sweepCeiling() tuple.Time {
+	switch {
+	case !j.e.opt.SharedProcessing:
+		return j.wm
+	case j.e.Cfg.Mode == engine.OnWatermark:
+		return j.e.finalized.Of(j.id)
+	default:
+		return j.e.processed.Of(j.id)
+	}
 }
 
 // evictBound converts a gate watermark into the eviction timestamp bound.
@@ -544,7 +561,9 @@ func (j *joiner) joinIncremental(base tuple.Tuple, mask uint64, lo, hi tuple.Tim
 		entry = &incEntry{}
 		j.inc[base.Key] = entry
 	}
-	bound := j.evictBound(j.evictWM())
+	// No sweep so far or during this join reaches an entry at or above
+	// bound (see sweepCeiling), so a walk reads only live entries.
+	bound := j.evictBound(j.sweepCeiling())
 	// A fresh entry's zero mask never equals a read mask: every key has
 	// at least one team member.
 	sameTeam := entry.mask == mask
@@ -585,10 +604,10 @@ func (j *joiner) joinIncremental(base tuple.Tuple, mask uint64, lo, hi tuple.Tim
 // seek-based deltas would count it.
 //
 // It returns false without touching the entry when it holds no cursors,
-// or when a left cursor's key is below bound, the eviction bound of the
-// current gate: every sweep so far used a bound no higher, so a cursor at
-// or above it has not been unlinked. (A right cursor is never below its
-// left one.)
+// or when a left cursor's key is below bound, the guard joinIncremental
+// computed: no sweep so far or during the walk uses a higher bound, so a
+// cursor at or above it is not unlinked, nor is any entry the walk reads.
+// (A right cursor is never below its left one.)
 func (j *joiner) walkEdges(entry *incEntry, lo, hi, bound tuple.Time) bool {
 	if len(entry.edges) == 0 {
 		return false

@@ -1,12 +1,17 @@
 package skiplist
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 	"unsafe"
 )
 
@@ -462,24 +467,231 @@ func TestCursorSWMR(t *testing.T) {
 	}
 }
 
-// TestPutReportsSlabBytes: Put reports exactly the node slabs it
-// allocates — doubling from minSlabSize, capped at maxSlabSize — and 0
-// for every insert a slab already had room for.
+// TestPutReportsSlabBytes: Put reports exactly the slabs it allocates —
+// node slabs doubling from minSlabSize and capped at maxSlabSize, and
+// tower slabs of height-1 pointers per node taller than 1 growing the same
+// way, a tower that does not fit starting the next one — and 0, 0 for
+// every insert the current slabs had room for. The reported slab count is
+// also every heap object Put allocates.
 func TestPutReportsSlabBytes(t *testing.T) {
-	l := New[int64, float64](3)
+	heights := New[int64, float64](3) // same seed: the same height sequence
 	node := int64(unsafe.Sizeof(node[int64, float64]{}))
-	var want, got []int64
-	for size, filled := minSlabSize, 0; filled < 3000; {
-		want = append(want, int64(size)*node)
-		filled += size
-		size = min(2*size, maxSlabSize)
-	}
+	var nodeLen, nodeFree, towerLen, towerFree, towers int
+	want, got := make([][2]int64, 0, 3000), make([][2]int64, 0, 3000)
 	for i := 0; i < 3000; i++ {
-		if b := l.Put(int64(i), 1); b != 0 {
-			got = append(got, b)
+		var slabs, bytes int64
+		if nodeFree == 0 {
+			nodeLen = min(max(2*nodeLen, minSlabSize), maxSlabSize)
+			nodeFree = nodeLen
+			slabs, bytes = slabs+1, bytes+int64(nodeLen)*node
+		}
+		nodeFree--
+		if h := heights.randomHeight(); h > 1 {
+			if towerFree < h-1 {
+				towerLen = max(h-1, min(max(2*towerLen, minSlabSize), maxSlabSize))
+				towerFree = towerLen
+				towers++
+				slabs, bytes = slabs+1, bytes+int64(towerLen*linkSize)
+			}
+			towerFree -= h - 1
+		}
+		want = append(want, [2]int64{slabs, bytes})
+	}
+	if towers < 4 || towerLen != maxSlabSize {
+		t.Fatalf("only %d tower slabs, the last of %d pointers: the test misses the cap", towers, towerLen)
+	}
+	var slabs int64
+	for _, w := range want {
+		slabs += w[0]
+	}
+	// The runtime's own background work can add an allocation to the
+	// process-wide count but never remove one, so the fewest of three
+	// runs is compared.
+	objs := int64(math.MaxInt64)
+	for try := 0; try < 3; try++ {
+		l := New[int64, float64](3)
+		got = got[:0]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 3000; i++ {
+			slabs, bytes := l.Put(int64(i), 1)
+			got = append(got, [2]int64{slabs, bytes})
+		}
+		runtime.ReadMemStats(&after)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("(slabs, bytes) per Put %v, want %v", got, want)
+		}
+		objs = min(objs, int64(after.Mallocs-before.Mallocs))
+	}
+	if objs != slabs {
+		t.Fatalf("Put allocated %d heap objects, reported %d slabs", objs, slabs)
+	}
+}
+
+// TestNodeSize pins the level-0 record of the time layer's lists: key,
+// value, level-0 next pointer, tower pointer and height. A field added
+// here is paid by every buffered entry.
+func TestNodeSize(t *testing.T) {
+	if n := unsafe.Sizeof(node[int64, float64]{}); n > 40 {
+		t.Fatalf("node[int64, float64] is %d B, want <= 40", n)
+	}
+}
+
+// TestTopLevelTracksTallest: top is the tallest height among the live
+// nodes, and the head holds nothing above it, as inserts raise it and
+// evictions lower it. A reader holding a stale top, lower or higher,
+// still finds every entry, since level 0 is always complete.
+func TestTopLevelTracksTallest(t *testing.T) {
+	l := New[int64, int](21)
+	heights := New[int64, int](21) // same seed: the same height sequence
+	if got := l.top.Load(); got != 1 {
+		t.Fatalf("empty list top = %d, want 1", got)
+	}
+	// tallest returns the tallest live height, found by walking level 0.
+	tallest := func() int {
+		h := 1
+		for n := l.head.next.Load(); n != nil; n = n.next.Load() {
+			h = max(h, int(n.height))
+		}
+		return h
+	}
+	check := func(when string) {
+		t.Helper()
+		want := tallest()
+		if got := int(l.top.Load()); got != want {
+			t.Fatalf("%s: top = %d, want %d", when, got, want)
+		}
+		for level := 1; level < MaxHeight; level++ {
+			if next := l.head.tower(level).Load(); (next != nil) != (level < want) {
+				t.Fatalf("%s: head level %d holds %v with top %d", when, level, next, want)
+			}
 		}
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("slab bytes %v, want %v", got, want)
+	drawn := 1
+	for i := 0; i < 20_000; i++ {
+		drawn = max(drawn, heights.randomHeight())
+		l.Put(int64(2*i), i)
+		if got := int(l.top.Load()); got != drawn {
+			t.Fatalf("after %d puts top = %d, want %d", i+1, got, drawn)
+		}
 	}
+	if drawn < 6 {
+		t.Fatalf("20k inserts reached height %d only", drawn)
+	}
+	check("after the inserts")
+	for _, bound := range []int64{10_000, 20_000, 30_000, 39_000, 39_990} {
+		l.EvictBefore(bound)
+		check(fmt.Sprintf("after EvictBefore(%d)", bound))
+	}
+	if got := int(l.top.Load()); got >= drawn {
+		t.Fatalf("top %d after evicting all but 5 of 20k entries", got)
+	}
+	for k := int64(40_000); k < 42_000; k++ {
+		l.Put(k, int(k))
+	}
+	check("after more inserts")
+	for _, stale := range []int32{1, 2, MaxHeight} {
+		l.top.Store(stale)
+		for k := int64(40_000); k < 41_800; k += 37 {
+			if v, ok := l.Get(k); !ok || v != int(k) {
+				t.Fatalf("top %d: Get(%d) = %d, %v", stale, k, v, ok)
+			}
+			if c := l.Through(k); c.Key() != k {
+				t.Fatalf("top %d: Through(%d) at %d", stale, k, c.Key())
+			}
+			if n := l.AscendRange(k, k+99, func(int64, int) bool { return true }); n != 100 {
+				t.Fatalf("top %d: AscendRange(%d, %d) visited %d, want 100", stale, k, k+99, n)
+			}
+		}
+	}
+}
+
+// fillWide inserts keys [from, to) into l in the wide workload's shape:
+// key i arrives up to lateness behind, and the list is swept below
+// i − lateness − window every half horizon, as the time-travel index's
+// owners do.
+func fillWide(l *List[int64, int], rng *rand.Rand, from, to int) {
+	const lateness, window = 2000, 200
+	for i := from; i < to; i++ {
+		l.Put(int64(i)-rng.Int63n(lateness+1), i)
+		if i%((lateness+window)/2) == 0 {
+			l.EvictBefore(int64(i) - lateness - window)
+		}
+	}
+}
+
+// watchFirstSlabs inserts l's first 100 entries, which fill its first
+// node slab and its first tower slab, and sets a finalizer on each of the
+// two slabs. It returns channels closed when they run, and a cursor on the
+// first node when hold is set.
+func watchFirstSlabs(l *List[int64, int], rng *rand.Rand, hold bool) (nodes0, towers0 chan struct{}, c Cursor[int64, int]) {
+	nodes0, towers0 = make(chan struct{}), make(chan struct{})
+	fillWide(l, rng, 0, 1)
+	runtime.SetFinalizer(&l.nodes[0], func(*node[int64, int]) { close(nodes0) })
+	if hold {
+		c = Cursor[int64, int]{&l.nodes[0]}
+	}
+	for i := 1; i < 100; i++ {
+		watched := l.towers != nil
+		fillWide(l, rng, i, i+1)
+		if !watched && l.towers != nil {
+			runtime.SetFinalizer(&l.towers[0], func(*atomic.Pointer[node[int64, int]]) { close(towers0) })
+		}
+	}
+	if len(l.nodes) == minSlabSize || len(l.towers) == minSlabSize {
+		panic("watchFirstSlabs: a first slab is still the current one")
+	}
+	return nodes0, towers0, c
+}
+
+// collected runs the collector until done is closed, giving up after a
+// few cycles.
+func collected(done chan struct{}) bool {
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-done:
+			return true
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	return false
+}
+
+// TestEvictedSlabsAreCollected: once eviction passes the first node slab
+// and the first tower slab, both are garbage, although stragglers mix old
+// keys into every later slab; and a Cursor into the first node slab keeps
+// it reachable, which is why a holder must drop cursors it no longer
+// walks.
+func TestEvictedSlabsAreCollected(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	l := New[int64, int](31)
+	nodes0, towers0, _ := watchFirstSlabs(l, rng, false)
+	fillWide(l, rng, 100, 50_000)
+	l.EvictBefore(50_000 - 2200)
+	if !collected(nodes0) {
+		t.Error("the first node slab outlived its evicted entries")
+	}
+	if !collected(towers0) {
+		t.Error("the first tower slab outlived its evicted entries")
+	}
+	runtime.KeepAlive(l)
+
+	l = New[int64, int](31)
+	nodes0, _, c := watchFirstSlabs(l, rng, true)
+	fillWide(l, rng, 100, 50_000)
+	l.EvictBefore(50_000 - 2200)
+	if collected(nodes0) {
+		t.Fatal("a held cursor did not keep its entry's slab reachable")
+	}
+	// The evicted entry leads to the first live one.
+	if n, ok := c.Next(); !ok || n.Key() < 50_000-2200 || c.Value() != 0 {
+		t.Fatalf("the held cursor leads to %d, %v", n.Key(), ok)
+	}
+	c = Cursor[int64, int]{}
+	if !collected(nodes0) {
+		t.Error("the first node slab outlived the cursor into it")
+	}
+	runtime.KeepAlive(l)
+	runtime.KeepAlive(c)
 }

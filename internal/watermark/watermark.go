@@ -94,5 +94,9 @@ func (t *Tracker) Global() tuple.Time {
 	return min
 }
 
+// Of returns source i's watermark: an upper bound on Global that only
+// source i can raise.
+func (t *Tracker) Of(i int) tuple.Time { return t.slots[i].Load() }
+
 // Sources returns the number of tracked sources.
 func (t *Tracker) Sources() int { return len(t.slots) }
